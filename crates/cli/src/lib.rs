@@ -26,19 +26,15 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
-use scfi_core::{harden, redundancy, PadPolicy, ScfiConfig};
-use scfi_faultsim::{
-    try_run_exhaustive, try_run_multi_fault, CampaignConfig, CampaignError, FaultEffect,
-    RunControl, ScfiTarget, StopReason,
-};
-use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
+use scfi_core::{HardenedFsm, PadPolicy};
+use scfi_faultsim::{Backend, CampaignError, StopReason};
+use scfi_fsm::{parse_fsm, Fsm};
+use scfi_netlist::Module;
+use scfi_serve::jobs::{self, Campaign, Format, JobKind, JobResult, JobSpec};
+use scfi_serve::{ConfigKind, Prepared, PreparedModel};
 use scfi_stdcell::Library;
-use scfi_symbolic::{
-    describe_fault, CertificationReport, Certifier, CertifyBudget, CertifyModel, JointReport,
-    JointVerdict, Verdict,
-};
+use scfi_symbolic::{describe_fault, CertificationReport, JointVerdict, Verdict};
 use scfi_telemetry::Telemetry;
 
 /// A CLI failure: message for stderr plus the process exit code.
@@ -240,6 +236,26 @@ impl<'a> Flags<'a> {
         None
     }
 
+    /// A flag's value parsed as a number; `usage` is the error for a
+    /// value that does not parse.
+    fn number<T: std::str::FromStr>(
+        &mut self,
+        name: &str,
+        usage: &str,
+    ) -> Result<Option<T>, CliError> {
+        self.value(name)?
+            .map(|v| v.parse().map_err(|_| usage_err(usage)))
+            .transpose()
+    }
+
+    /// [`Self::number`] for a count that must be at least 1.
+    fn positive(&mut self, name: &str, usage: &str) -> Result<Option<usize>, CliError> {
+        match self.number(name, usage)? {
+            Some(0) => Err(usage_err(usage)),
+            n => Ok(n),
+        }
+    }
+
     fn finish(&self) -> Result<(), CliError> {
         for (i, a) in self.args.iter().enumerate() {
             if !self.used[i] {
@@ -273,58 +289,52 @@ fn load_fsm(path: &str) -> Result<Fsm, CliError> {
     })
 }
 
-fn parse_config(flags: &mut Flags<'_>) -> Result<ScfiConfig, CliError> {
-    let level: usize = match flags.value("--level")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_err("--level must be a number"))?,
-        None => 3,
-    };
-    let mut config = ScfiConfig::new(level);
-    if flags.switch("--adaptive") {
-        config = config.adaptive_mds(true);
-    }
-    if let Some(r) = flags.value("--rails")? {
-        let rails: usize = r
-            .parse()
-            .map_err(|_| usage_err("--rails must be a number"))?;
-        if rails == 0 {
-            return Err(usage_err("--rails must be at least 1"));
-        }
-        config = config.selector_rails(rails);
-    }
-    if flags.switch("--protect-outputs") {
-        config = config.protect_outputs(true);
-    }
-    match flags.value("--pad")? {
-        Some("zero") | None => {}
-        Some("replicate") => config = config.pad(PadPolicy::Replicate),
-        Some(other) => return Err(usage_err(format!("unknown pad policy `{other}`"))),
-    }
-    Ok(config)
-}
-
-fn harden_from(flags: &mut Flags<'_>) -> Result<(Fsm, scfi_core::HardenedFsm), CliError> {
+/// Reads the positional FSM input and the level and SCFI hardening flags
+/// into a `kind` job spec.
+fn read_spec(flags: &mut Flags<'_>, kind: JobKind) -> Result<JobSpec, CliError> {
     let Some(path) = flags.positional() else {
         return Err(usage_err("missing FSM input file"));
     };
-    let fsm = load_fsm(path)?;
-    let config = parse_config(flags)?;
-    let hardened = harden(&fsm, &config).map_err(|e| CliError {
-        message: format!("hardening failed: {e}"),
-        code: 3,
-    })?;
-    hardened.check_all_edges().map_err(|e| CliError {
-        message: format!("internal verification failed: {e}"),
-        code: 3,
-    })?;
-    Ok((fsm, hardened))
+    let mut spec = JobSpec::new(kind, load_fsm(path)?);
+    if let Some(level) = flags.number("--level", "--level must be a number")? {
+        spec.level = level;
+    }
+    spec.adaptive = flags.switch("--adaptive");
+    if let Some(rails) = flags.number("--rails", "--rails must be a number")? {
+        if rails == 0 {
+            return Err(usage_err("--rails must be at least 1"));
+        }
+        spec.rails = rails;
+    }
+    spec.protect_outputs = flags.switch("--protect-outputs");
+    spec.pad = match flags.value("--pad")? {
+        Some("zero") | None => PadPolicy::Zero,
+        Some("replicate") => PadPolicy::Replicate,
+        Some(other) => return Err(usage_err(format!("unknown pad policy `{other}`"))),
+    };
+    Ok(spec)
+}
+
+/// Prepares `spec`'s model under `kind` through the job core's one
+/// preparation path.
+fn prepare(spec: &JobSpec, kind: ConfigKind) -> Result<Prepared, CliError> {
+    Prepared::new(&spec.fsm, kind, &spec.scfi_config())
+        .map_err(|message| CliError { message, code: 3 })
+}
+
+/// The SCFI-hardened model that `harden` and `analyze` always prepare.
+fn hardened(prepared: &Prepared) -> &HardenedFsm {
+    match &prepared.model {
+        PreparedModel::Scfi(hardened) => hardened,
+        _ => unreachable!("harden and analyze prepare the SCFI configuration"),
+    }
 }
 
 fn cmd_harden(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
     let emit = flags.value("--emit")?.unwrap_or("verilog").to_string();
-    let (_fsm, hardened) = harden_from(&mut flags)?;
+    let prepared = prepare(&read_spec(&mut flags, JobKind::Analyze)?, ConfigKind::Scfi)?;
+    let hardened = hardened(&prepared);
     flags.finish()?;
     match emit.as_str() {
         "verilog" => {
@@ -350,29 +360,15 @@ fn cmd_harden(args: &[String], out: &mut String) -> Result<(), CliError> {
 
 fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let region = flags.value("--region")?.unwrap_or("all").to_string();
+    let region = flags.value("--region")?.unwrap_or("all");
     let pin_faults = flags.switch("--pin-faults");
     let stuck_at = flags.switch("--stuck-at");
     let rank = flags.switch("--rank");
-    let multi: Option<usize> = flags
-        .value("--multi")?
-        .map(|v| v.parse().map_err(|_| usage_err("--multi must be a number")))
-        .transpose()?;
-    let runs: usize = match flags.value("--runs")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_err("--runs must be a number"))?,
-        None => 2000,
-    };
-    let protocol: Option<usize> = flags
-        .value("--protocol")?
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&k: &usize| k > 0)
-                .ok_or_else(|| usage_err("--protocol must be a positive walk depth"))
-        })
-        .transpose()?;
+    let multi: Option<usize> = flags.number("--multi", "--multi must be a number")?;
+    let runs = flags
+        .number("--runs", "--runs must be a number")?
+        .unwrap_or(2000);
+    let protocol = flags.positive("--protocol", "--protocol must be a positive walk depth")?;
     let fuzz_inputs = flags.switch("--fuzz-inputs");
     let fault_windows = flags.switch("--fault-windows");
     if fuzz_inputs && protocol.is_none() {
@@ -385,98 +381,63 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
             "--fault-windows samples per-fault arming windows; it requires --multi",
         ));
     }
-    let lane_words: usize = match flags.value("--lanes")? {
-        Some("64") => 1,
-        Some("128") => 2,
-        Some("256") | None => 4,
-        Some(other) => {
-            return Err(usage_err(format!(
-                "--lanes must be 64, 128 or 256 (got `{other}`)"
-            )))
-        }
-    };
-    let backend = match flags.value("--backend")? {
-        None => scfi_faultsim::Backend::default(),
-        Some(name) => scfi_faultsim::Backend::parse(name).ok_or_else(|| {
-            usage_err(format!(
-                "--backend must be scalar, packed or simd (got `{name}`)"
-            ))
-        })?,
-    };
-    let format = flags.value("--format")?.unwrap_or("text").to_string();
-    let control = parse_run_control(&mut flags)?;
+    let lane_words = flags
+        .value("--lanes")?
+        .map(|v| {
+            jobs::LANES
+                .into_iter()
+                .find(|lanes| lanes.to_string() == v)
+                .and_then(jobs::lane_words)
+                .ok_or_else(|| {
+                    usage_err(format!(
+                        "--lanes must be {} (got `{v}`)",
+                        jobs::one_of(jobs::LANES)
+                    ))
+                })
+        })
+        .transpose()?;
+    let backend = flags
+        .value("--backend")?
+        .map(|name| {
+            Backend::parse(name).ok_or_else(|| {
+                usage_err(format!(
+                    "--backend must be {} (got `{name}`)",
+                    jobs::one_of(Backend::ALL)
+                ))
+            })
+        })
+        .transpose()?;
+    let format = flags.value("--format")?.unwrap_or("text");
+    let timeout_secs = flags.number("--timeout-secs", TIMEOUT_SECS_USAGE)?;
+    let max_injections = flags.number("--max-injections", "--max-injections must be a number")?;
     let stats = parse_stats_options(&mut flags)?;
-    let (_fsm, hardened) = harden_from(&mut flags)?;
+    let base = read_spec(&mut flags, JobKind::Analyze)?;
+    let mut spec = JobSpec {
+        backend: backend.unwrap_or(base.backend),
+        lane_words: lane_words.unwrap_or(base.lane_words),
+        protocol,
+        fuzz_inputs,
+        stuck_at,
+        pin_faults,
+        timeout_secs,
+        max_injections,
+        multi: multi.map(|m| (m, runs)),
+        fault_windows,
+        ..base
+    };
+    let control = spec.run_control();
+    let prepared = prepare(&spec, ConfigKind::Scfi)?;
+    let hardened = hardened(&prepared);
     flags.finish()?;
-
-    let mut effects = vec![FaultEffect::Flip];
-    if stuck_at {
-        effects.push(FaultEffect::Stuck0);
-        effects.push(FaultEffect::Stuck1);
-    }
-    let mut config = CampaignConfig::new()
-        .effects(effects)
-        .threads(2)
-        .lane_words(lane_words)
-        .backend(backend)
-        .telemetry(stats.telemetry.clone());
-    let regions = hardened.regions();
-    config = match region.as_str() {
-        "all" => config,
-        "diffusion" => config.region(regions.diffusion.clone()),
-        "selector" => config.region(regions.pattern_match.start..regions.modifier_select.end),
+    let cells = hardened.regions();
+    spec.region = match region {
+        "all" => None,
+        "diffusion" => Some(cells.diffusion.clone()),
+        "selector" => Some(cells.pattern_match.start..cells.modifier_select.end),
         other => return Err(usage_err(format!("unknown region `{other}`"))),
     };
-    if pin_faults {
-        config = config.with_pin_faults();
-    }
-    if fault_windows {
-        config = config.with_fault_windows();
-    }
-
-    let target = match protocol {
-        // Walk seed fixed so repeated invocations analyze the same
-        // protocol scenario set.
-        Some(depth) if fuzz_inputs => {
-            ScfiTarget::with_fuzzed_protocol(&hardened, depth, 0x5CF1_3007)
-        }
-        Some(depth) => ScfiTarget::with_protocol(&hardened, depth, 0x5CF1_3007),
-        None => ScfiTarget::new(&hardened),
-    };
-    if let Some(depth) = protocol {
-        let _ = writeln!(
-            out,
-            "multi-cycle campaign: depth-{depth} {}protocol walks, {} scenarios",
-            if fuzz_inputs {
-                "adversarially fuzzed "
-            } else {
-                ""
-            },
-            scfi_faultsim::FaultTarget::scenario_count(&target)
-        );
-    }
-    match format.as_str() {
-        "text" => {
-            let report = match multi {
-                Some(m) => try_run_multi_fault(&target, m, runs, &config, &control),
-                None => try_run_exhaustive(&target, &config, &control),
-            }
-            .map_err(|e| campaign_error(e, out))?;
-            let _ = writeln!(out, "{report}");
-            let _ = writeln!(
-                out,
-                "analytic success probability (paper formula): {:.3e}",
-                scfi_faultsim::paper_success_probability(&hardened)
-            );
-            if rank {
-                if multi.is_some() {
-                    return Err(usage_err("--rank applies to exhaustive campaigns only"));
-                }
-                let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
-                    .map_err(|e| campaign_error(e, out))?;
-                let _ = writeln!(out, "{map}");
-            }
-        }
+    match format {
+        "text" => {}
         "csv" | "json" => {
             if multi.is_some() {
                 return Err(usage_err(
@@ -490,38 +451,54 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
                      exports every site",
                 ));
             }
-            let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
-                .map_err(|e| campaign_error(e, out))?;
             if format == "csv" {
-                scfi_serve::wire::write_sites_csv(out, hardened.module(), &map);
-            } else {
-                scfi_serve::wire::write_sites_json(out, hardened.module(), &map);
+                spec.format = Format::Csv;
             }
         }
         other => return Err(usage_err(format!("unknown format `{other}`"))),
+    }
+
+    let JobResult::Campaign { scenarios, result } =
+        jobs::execute(&spec, &prepared, &control, &stats.telemetry)
+    else {
+        unreachable!("an analyze job runs a campaign")
+    };
+    if let Some(depth) = protocol {
+        let _ = writeln!(
+            out,
+            "multi-cycle campaign: depth-{depth} {}protocol walks, {scenarios} scenarios",
+            if fuzz_inputs {
+                "adversarially fuzzed "
+            } else {
+                ""
+            },
+        );
+    }
+    let campaign = result.map_err(|e| campaign_error(e, out))?;
+    if format == "text" {
+        let _ = match &campaign {
+            Campaign::Sites(map) => writeln!(out, "{}", map.summary()),
+            Campaign::Summary(report) => writeln!(out, "{report}"),
+        };
+        let _ = writeln!(
+            out,
+            "analytic success probability (paper formula): {:.3e}",
+            scfi_faultsim::paper_success_probability(hardened)
+        );
+        if rank {
+            let Campaign::Sites(map) = campaign else {
+                return Err(usage_err("--rank applies to exhaustive campaigns only"));
+            };
+            let _ = writeln!(out, "{map}");
+        }
+    } else if let Campaign::Sites(map) = campaign {
+        spec.format.write_sites(out, prepared.module(), &map);
     }
     stats.emit(out)?;
     Ok(())
 }
 
-/// Parses the shared campaign-budget flags (`--timeout-secs`,
-/// `--max-injections`) into a [`RunControl`] handle.
-fn parse_run_control(flags: &mut Flags<'_>) -> Result<RunControl, CliError> {
-    let mut control = RunControl::unlimited();
-    if let Some(v) = flags.value("--timeout-secs")? {
-        let secs: u64 = v
-            .parse()
-            .map_err(|_| usage_err("--timeout-secs must be a whole number of seconds"))?;
-        control = control.with_deadline(Duration::from_secs(secs));
-    }
-    if let Some(v) = flags.value("--max-injections")? {
-        let budget: u64 = v
-            .parse()
-            .map_err(|_| usage_err("--max-injections must be a number"))?;
-        control = control.with_injection_budget(budget);
-    }
-    Ok(control)
-}
+const TIMEOUT_SECS_USAGE: &str = "--timeout-secs must be a whole number of seconds";
 
 /// Converts a campaign failure into its exit code, writing the completed
 /// prefix (clearly marked) into `out` first: 4 for a cancelled or
@@ -611,26 +588,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .unwrap_or("127.0.0.1:3007")
         .to_string();
     let mut options = scfi_serve::ServerOptions::default();
-    if let Some(v) = flags.value("--workers")? {
-        options.workers = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| usage_err("--workers must be a positive number"))?;
+    if let Some(n) = flags.positive("--workers", "--workers must be a positive number")? {
+        options.workers = n;
     }
-    if let Some(v) = flags.value("--queue-capacity")? {
-        options.queue_capacity = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| usage_err("--queue-capacity must be a positive number"))?;
+    let usage = "--queue-capacity must be a positive number";
+    if let Some(n) = flags.positive("--queue-capacity", usage)? {
+        options.queue_capacity = n;
     }
-    if let Some(v) = flags.value("--cache-capacity")? {
-        options.cache_capacity = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| usage_err("--cache-capacity must be a positive number"))?;
+    let usage = "--cache-capacity must be a positive number";
+    if let Some(n) = flags.positive("--cache-capacity", usage)? {
+        options.cache_capacity = n;
     }
     flags.finish()?;
     let server = scfi_serve::Server::bind(&addr, options).map_err(|e| CliError {
@@ -644,33 +611,23 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `scfi certify`: formal per-site fault certification via the
+/// `scfi certify`: formal per-site or joint fault certification via the
 /// `scfi-symbolic` BDD engine.
 fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let config_kind = flags.value("--config")?.unwrap_or("scfi").to_string();
+    let config = flags.value("--config")?.unwrap_or("scfi");
     let all_gates = flags.switch("--all-gates");
     let stuck_at = flags.switch("--stuck-at");
     let pin_faults = flags.switch("--pin-faults");
     let per_site = flags.switch("--per-site");
     let joint = flags.switch("--joint");
-    let max_active: Option<usize> = flags
-        .value("--max-active")?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| usage_err("--max-active must be a number"))
-        })
-        .transpose()?;
+    let max_active = flags.number("--max-active", "--max-active must be a number")?;
     let expect_proof = flags.switch("--expect-proof");
-    let budget = parse_certify_budget(&mut flags)?;
+    let timeout_secs = flags.number("--timeout-secs", TIMEOUT_SECS_USAGE)?;
+    let max_bdd_nodes = flags.number("--max-bdd-nodes", "--max-bdd-nodes must be a number")?;
     let stats = parse_stats_options(&mut flags)?;
-    let Some(path) = flags.positional() else {
-        return Err(usage_err("missing FSM input file"));
-    };
-    let fsm = load_fsm(path)?;
-    let scfi_config = parse_config(&mut flags)?;
+    let base = read_spec(&mut flags, JobKind::Certify)?;
     flags.finish()?;
-    let level = scfi_config.protection_level();
     if max_active.is_some() && !joint {
         return Err(usage_err("--max-active sets the --joint fault bound"));
     }
@@ -679,166 +636,27 @@ fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
             "--per-site lists per-site verdicts; the --joint claim has a single verdict",
         ));
     }
-    if joint {
-        // The paper's §3 bound: up to N − 1 simultaneous faults.
-        let max_active = max_active.unwrap_or(level.saturating_sub(1));
-        let report = match config_kind.as_str() {
-            "scfi" => {
-                let hardened = harden(&fsm, &scfi_config).map_err(|e| CliError {
-                    message: format!("hardening failed: {e}"),
-                    code: 3,
-                })?;
-                certify_joint_model(
-                    &hardened, all_gates, stuck_at, pin_faults, max_active, budget, &stats, out,
-                )
-            }
-            "redundancy" => {
-                let r = redundancy(&fsm, level).map_err(|e| CliError {
-                    message: format!("redundancy transform failed: {e}"),
-                    code: 3,
-                })?;
-                certify_joint_model(
-                    &r, all_gates, stuck_at, pin_faults, max_active, budget, &stats, out,
-                )
-            }
-            "unprotected" => {
-                let lowered = lower_unprotected(&fsm).map_err(|e| CliError {
-                    message: format!("lowering failed: {e}"),
-                    code: 3,
-                })?;
-                certify_joint_model(
-                    &lowered, all_gates, stuck_at, pin_faults, max_active, budget, &stats, out,
-                )
-            }
-            other => return Err(usage_err(format!("unknown certify config `{other}`"))),
-        };
-        stats.emit(out)?;
-        return match &report.verdict {
-            JointVerdict::Proved => Ok(()),
-            JointVerdict::Counterexample(_) if expect_proof => Err(CliError {
-                message: format!(
-                    "--expect-proof: a combination of at most {} fault(s) refutes the joint guarantee",
-                    report.max_active
-                ),
-                code: 3,
-            }),
-            JointVerdict::Counterexample(_) => Ok(()),
-            JointVerdict::Unknown { reason } => Err(CliError {
-                message: format!("joint certification budget exhausted: claim undecided ({reason})"),
-                code: if reason.contains("deadline") { 4 } else { 5 },
-            }),
-        };
-    }
-
-    let report = match config_kind.as_str() {
-        "scfi" => {
-            let hardened = harden(&fsm, &scfi_config).map_err(|e| CliError {
-                message: format!("hardening failed: {e}"),
-                code: 3,
-            })?;
-            certify_model(
-                &hardened, all_gates, stuck_at, pin_faults, per_site, budget, &stats, out,
-            )
-        }
-        "redundancy" => {
-            let r = redundancy(&fsm, level).map_err(|e| CliError {
-                message: format!("redundancy transform failed: {e}"),
-                code: 3,
-            })?;
-            certify_model(
-                &r, all_gates, stuck_at, pin_faults, per_site, budget, &stats, out,
-            )
-        }
-        "unprotected" => {
-            let lowered = lower_unprotected(&fsm).map_err(|e| CliError {
-                message: format!("lowering failed: {e}"),
-                code: 3,
-            })?;
-            certify_model(
-                &lowered, all_gates, stuck_at, pin_faults, per_site, budget, &stats, out,
-            )
-        }
-        other => return Err(usage_err(format!("unknown certify config `{other}`"))),
+    let config = ConfigKind::parse(config)
+        .ok_or_else(|| usage_err(format!("unknown certify config `{config}`")))?;
+    let spec = JobSpec {
+        config,
+        stuck_at,
+        pin_faults,
+        joint,
+        max_active,
+        all_gates,
+        timeout_secs,
+        max_bdd_nodes,
+        ..base
     };
-    stats.emit(out)?;
-    if expect_proof && report.counterexamples() > 0 {
-        return Err(CliError {
-            message: format!(
-                "--expect-proof: {} counterexample site(s) refute the detection guarantee",
-                report.counterexamples()
-            ),
-            code: 3,
-        });
-    }
-    if report.unknown() > 0 {
-        // The budget ran out before every site was decided. The report
-        // (with its UNKNOWN verdicts) is already in `out`; exit with the
-        // documented partial-result code so scripts can tell "undecided"
-        // from "refuted".
-        let deadline = report.sites.iter().any(
-            |s| matches!(&s.verdict, Verdict::Unknown { reason } if reason.contains("deadline")),
-        );
-        return Err(CliError {
-            message: format!(
-                "certification budget exhausted: {} of {} site(s) undecided",
-                report.unknown(),
-                report.sites.len()
-            ),
-            code: if deadline { 4 } else { 5 },
-        });
-    }
-    Ok(())
-}
+    let control = spec.run_control();
+    let prepared = prepare(&spec, spec.config)?;
 
-/// Parses the certification-budget flags (`--timeout-secs`,
-/// `--max-bdd-nodes`) into a [`CertifyBudget`].
-fn parse_certify_budget(flags: &mut Flags<'_>) -> Result<CertifyBudget, CliError> {
-    let mut budget = CertifyBudget::unlimited();
-    if let Some(v) = flags.value("--timeout-secs")? {
-        let secs: u64 = v
-            .parse()
-            .map_err(|_| usage_err("--timeout-secs must be a whole number of seconds"))?;
-        budget = budget.timeout(Duration::from_secs(secs));
-    }
-    if let Some(v) = flags.value("--max-bdd-nodes")? {
-        let nodes: usize = v
-            .parse()
-            .map_err(|_| usage_err("--max-bdd-nodes must be a number"))?;
-        budget = budget.max_nodes(nodes);
-    }
-    Ok(budget)
-}
-
-// The certification fault-space definition is shared with the job
-// server (`scfi serve` certifies the identical fault set for the same
-// knobs), so it lives in `scfi_serve::jobs`.
-use scfi_serve::jobs::certify_fault_set;
-
-/// Certifies the joint multi-fault claim for one model and renders the
-/// report. A setup-phase budget overflow degrades the whole claim to
-/// UNKNOWN — never a fabricated proof.
-#[allow(clippy::too_many_arguments)]
-fn certify_joint_model<M: CertifyModel>(
-    model: &M,
-    all_gates: bool,
-    stuck_at: bool,
-    pin_faults: bool,
-    max_active: usize,
-    budget: CertifyBudget,
-    stats: &StatsOptions,
-    out: &mut String,
-) -> JointReport {
-    let module = model.module();
-    let faults = certify_fault_set(module, all_gates, stuck_at, pin_faults);
-    let report = match Certifier::with_instruments(model, budget, stats.telemetry.clone(), None) {
-        Ok(mut certifier) => {
-            let report = certifier.certify_joint(&faults, max_active);
+    match jobs::execute(&spec, &prepared, &control, &stats.telemetry) {
+        JobResult::Joint { report, active } => {
             let _ = writeln!(out, "{report}");
-            if let JointVerdict::Counterexample(w) = &report.verdict {
-                let bits = |word: &[bool]| -> String {
-                    word.iter().map(|&v| if v { '1' } else { '0' }).collect()
-                };
-                let _ = writeln!(out, "  active: {}", certifier.describe_active(w));
+            if let (JointVerdict::Counterexample(w), Some(active)) = (&report.verdict, active) {
+                let _ = writeln!(out, "  active: {active}");
                 let _ = writeln!(
                     out,
                     "  from state {} under inputs {}",
@@ -846,47 +664,74 @@ fn certify_joint_model<M: CertifyModel>(
                     bits(&w.inputs)
                 );
             }
-            report
+            stats.emit(out)?;
+            match &report.verdict {
+                JointVerdict::Proved => Ok(()),
+                JointVerdict::Counterexample(_) if expect_proof => Err(CliError {
+                    message: format!(
+                        "--expect-proof: a combination of at most {} fault(s) refutes the joint guarantee",
+                        report.max_active
+                    ),
+                    code: 3,
+                }),
+                JointVerdict::Counterexample(_) => Ok(()),
+                JointVerdict::Unknown { reason } => Err(CliError {
+                    message: format!(
+                        "joint certification budget exhausted: claim undecided ({reason})"
+                    ),
+                    code: if reason.contains("deadline") { 4 } else { 5 },
+                }),
+            }
         }
-        Err(overflow) => {
-            let report = JointReport {
-                config: model.config_name(),
-                module: module.name().to_string(),
-                sites: faults.len(),
-                max_active,
-                reachable_states: 0,
-                verdict: JointVerdict::Unknown {
-                    reason: overflow.to_string(),
-                },
-            };
-            let _ = writeln!(out, "{report}");
-            report
+        JobResult::Certification(report) => {
+            write_certification(out, prepared.module(), &report, per_site, all_gates);
+            stats.emit(out)?;
+            if expect_proof && report.counterexamples() > 0 {
+                return Err(CliError {
+                    message: format!(
+                        "--expect-proof: {} counterexample site(s) refute the detection guarantee",
+                        report.counterexamples()
+                    ),
+                    code: 3,
+                });
+            }
+            if report.unknown() > 0 {
+                // The budget ran out before every site was decided. The
+                // report (with its UNKNOWN verdicts) is already in `out`;
+                // exit with the documented partial-result code so scripts
+                // can tell "undecided" from "refuted".
+                let deadline = report.sites.iter().any(|s| {
+                    matches!(&s.verdict, Verdict::Unknown { reason } if reason.contains("deadline"))
+                });
+                return Err(CliError {
+                    message: format!(
+                        "certification budget exhausted: {} of {} site(s) undecided",
+                        report.unknown(),
+                        report.sites.len()
+                    ),
+                    code: if deadline { 4 } else { 5 },
+                });
+            }
+            Ok(())
         }
-    };
-    report
+        JobResult::Campaign { .. } => unreachable!("a certify job certifies"),
+    }
 }
 
-/// Certifies one model's fault space and renders the report.
-#[allow(clippy::too_many_arguments)]
-fn certify_model<M: CertifyModel>(
-    model: &M,
-    all_gates: bool,
-    stuck_at: bool,
-    pin_faults: bool,
-    per_site: bool,
-    budget: CertifyBudget,
-    stats: &StatsOptions,
-    out: &mut String,
-) -> CertificationReport {
-    let module = model.module();
-    let faults = certify_fault_set(module, all_gates, stuck_at, pin_faults);
+fn bits(word: &[bool]) -> String {
+    word.iter().map(|&v| if v { '1' } else { '0' }).collect()
+}
 
-    // A budget overflow during setup means no certifier exists at all:
-    // degrade every site to Unknown rather than fabricating a proof.
-    let report = match Certifier::with_instruments(model, budget, stats.telemetry.clone(), None) {
-        Ok(mut certifier) => certifier.certify_all(&faults),
-        Err(overflow) => Certifier::degraded_report(model, &faults, overflow),
-    };
+/// Renders a per-site certification report as text: the summary, the
+/// optional per-site listing, every counterexample, the `--all-gates`
+/// cell ranking and the closing verdict line.
+fn write_certification(
+    out: &mut String,
+    module: &Module,
+    report: &CertificationReport,
+    per_site: bool,
+    all_gates: bool,
+) {
     let _ = writeln!(out, "{report}");
     if per_site {
         for site in &report.sites {
@@ -899,8 +744,6 @@ fn certify_model<M: CertifyModel>(
             let _ = writeln!(out, "  {tag}  {}", describe_fault(module, site.fault));
         }
     }
-    let bits =
-        |word: &[bool]| -> String { word.iter().map(|&v| if v { '1' } else { '0' }).collect() };
     for (fault, witness) in report.counterexample_sites() {
         let _ = writeln!(
             out,
@@ -942,47 +785,39 @@ fn certify_model<M: CertifyModel>(
             report.sites.len()
         );
     }
-    report
 }
 
 fn cmd_area(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let Some(path) = flags.positional() else {
-        return Err(usage_err("missing FSM input file"));
-    };
-    let fsm = load_fsm(path)?;
-    let config = parse_config(&mut flags)?;
+    let spec = read_spec(&mut flags, JobKind::Analyze)?;
     flags.finish()?;
-    let n = config.protection_level();
-    let lib = Library::nangate45_like();
-    let unprot = lower_unprotected(&fsm).map_err(|e| CliError {
-        message: format!("lowering failed: {e}"),
-        code: 3,
-    })?;
-    let red = redundancy(&fsm, n).map_err(|e| CliError {
-        message: format!("redundancy transform failed: {e}"),
-        code: 3,
-    })?;
-    let hardened = harden(&fsm, &config).map_err(|e| CliError {
-        message: format!("hardening failed: {e}"),
-        code: 3,
-    })?;
-    let rows = [
-        ("unprotected", lib.map(unprot.module())),
-        ("redundancy", lib.map(red.module())),
-        ("scfi", lib.map(hardened.module())),
+    let kinds = [
+        ConfigKind::Unprotected,
+        ConfigKind::Redundancy,
+        ConfigKind::Scfi,
     ];
-    let _ = writeln!(out, "{} at protection level {n}:", fsm.name());
+    let prepared = kinds
+        .iter()
+        .map(|&kind| prepare(&spec, kind))
+        .collect::<Result<Vec<_>, _>>()?;
+    let lib = Library::nangate45_like();
+    let _ = writeln!(
+        out,
+        "{} at protection level {}:",
+        spec.fsm.name(),
+        spec.level
+    );
     let _ = writeln!(
         out,
         "{:<14} {:>10} {:>14} {:>12}",
         "config", "area [GE]", "min period ps", "max MHz"
     );
-    for (name, mapped) in rows {
+    for (kind, prepared) in kinds.iter().zip(&prepared) {
+        let mapped = lib.map(prepared.module());
         let _ = writeln!(
             out,
             "{:<14} {:>10.1} {:>14.0} {:>12.1}",
-            name,
+            kind.name(),
             mapped.area_ge(),
             mapped.min_period_ps(),
             mapped.max_frequency_mhz()
@@ -1020,17 +855,10 @@ fn cmd_suite(args: &[String], out: &mut String) -> Result<(), CliError> {
             }
         }
         Some(name) => {
-            let fsm = scfi_opentitan::by_name(&name)
-                .map(|b| b.fsm)
-                .or_else(|| {
-                    scfi_opentitan::protocol_workloads()
-                        .into_iter()
-                        .find(|f| f.name() == name)
-                })
-                .ok_or_else(|| CliError {
-                    message: format!("no bundled FSM named `{name}` (try `scfi suite`)"),
-                    code: 2,
-                })?;
+            let fsm = scfi_opentitan::bundled(&name).ok_or_else(|| CliError {
+                message: format!("no bundled FSM named `{name}` (try `scfi suite`)"),
+                code: 2,
+            })?;
             let _ = write!(out, "{}", fsm.to_dsl());
         }
     }
@@ -1154,6 +982,30 @@ mod tests {
             "--rank",
         ]);
         assert!(out.contains("cells"));
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// `--rank` prints the summary line and the ranking from one
+    /// campaign: the injection counter equals the reported injections.
+    #[test]
+    fn analyze_rank_runs_the_campaign_once() {
+        let path = write_demo();
+        let p = path.to_str().expect("utf8");
+        let out = run_ok(&["analyze", p, "--level", "2", "--rank", "--stats", "json"]);
+        let reported: u64 = out
+            .split_whitespace()
+            .next()
+            .and_then(|n| n.parse().ok())
+            .expect("summary line");
+        let counted: u64 = out
+            .lines()
+            .find_map(|l| {
+                l.trim()
+                    .strip_prefix("\"scfi_campaign_injections_total\": ")
+            })
+            .and_then(|v| v.trim_end_matches(',').parse().ok())
+            .expect("injections counter");
+        assert_eq!(counted, reported, "{out}");
         let _ = std::fs::remove_file(path);
     }
 

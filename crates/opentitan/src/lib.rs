@@ -264,6 +264,15 @@ pub fn protocol_workloads() -> Vec<Fsm> {
     vec![secure_boot_fsm()]
 }
 
+/// Resolves any bundled FSM by name: a Table-1 row or a protocol
+/// workload — the lookup behind `scfi suite <name>` and the job server's
+/// `"suite"` field.
+pub fn bundled(name: &str) -> Option<Fsm> {
+    by_name(name)
+        .map(|b| b.fsm)
+        .or_else(|| protocol_workloads().into_iter().find(|f| f.name() == name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,6 +379,18 @@ mod tests {
     #[test]
     fn by_name_unknown_is_none() {
         assert!(by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn bundled_resolves_table1_rows_and_protocol_workloads() {
+        assert_eq!(bundled("i2c_fsm").expect("Table-1 row").name(), "i2c_fsm");
+        assert_eq!(
+            bundled("secure_boot_fsm")
+                .expect("protocol workload")
+                .name(),
+            "secure_boot_fsm"
+        );
+        assert!(bundled("nonexistent").is_none());
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! The cache is a bounded FIFO guarded by one mutex (preparation itself
 //! runs *outside* the lock; two concurrent misses on the same key both
 //! compile and one insert wins — wasted work, never wrong results) with
-//! atomic hit/miss counters surfaced by `GET /v1/healthz`.
+//! atomic hit/miss counters surfaced by `GET /v1/healthz`. Entries are
+//! keyed by protection level alone because served specs always use the
+//! default SCFI options; [`Prepared::new`] is the one preparation path
+//! for the cache and for the CLI's option-carrying specs alike.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,14 +87,58 @@ pub struct Prepared {
     pub digest: u64,
 }
 
-impl Prepared {
+impl PreparedModel {
     /// The gate-level module the jobs run against.
     pub fn module(&self) -> &Module {
-        match &self.model {
+        match self {
             PreparedModel::Scfi(h) => h.module(),
             PreparedModel::Redundancy(r) => r.module(),
             PreparedModel::Unprotected(u) => u.lowered.module(),
         }
+    }
+}
+
+impl Prepared {
+    /// Prepares `fsm` under configuration `kind`: SCFI hardening with
+    /// `config` (plus the all-edges self-check), the N-way redundancy
+    /// transform at `config`'s protection level, or the unprotected
+    /// lowering — then compiles the packed netlist once. The only
+    /// preparation path: the CLI (with its extra SCFI options) and the
+    /// cache both build models here.
+    pub fn new(fsm: &Fsm, kind: ConfigKind, config: &ScfiConfig) -> Result<Prepared, String> {
+        let digest = fnv1a(fsm.to_dsl().as_bytes());
+        let model = match kind {
+            ConfigKind::Scfi => {
+                let hardened = harden(fsm, config).map_err(|e| format!("hardening failed: {e}"))?;
+                hardened
+                    .check_all_edges()
+                    .map_err(|e| format!("internal verification failed: {e}"))?;
+                PreparedModel::Scfi(Box::new(hardened))
+            }
+            ConfigKind::Redundancy => PreparedModel::Redundancy(Box::new(
+                redundancy(fsm, config.protection_level())
+                    .map_err(|e| format!("redundancy transform failed: {e}"))?,
+            )),
+            ConfigKind::Unprotected => {
+                let lowered =
+                    lower_unprotected(fsm).map_err(|e| format!("lowering failed: {e}"))?;
+                PreparedModel::Unprotected(Box::new(UnprotectedModel {
+                    fsm: fsm.clone(),
+                    lowered,
+                }))
+            }
+        };
+        let packed = Arc::new(PackedNetlist::compile(model.module()));
+        Ok(Prepared {
+            model,
+            packed,
+            digest,
+        })
+    }
+
+    /// The gate-level module the jobs run against.
+    pub fn module(&self) -> &Module {
+        self.model.module()
     }
 }
 
@@ -106,42 +153,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Prepares a model outside the cache: parse-level inputs in, hardened
-/// module plus compiled netlist out. Deterministic, so cached and fresh
-/// preparations are interchangeable.
+/// Prepares a model at protection level `level` with the default SCFI
+/// options ([`Prepared::new`] with `ScfiConfig::new(level)`).
+/// Deterministic, so cached and fresh preparations are interchangeable.
 pub fn prepare(fsm: &Fsm, kind: ConfigKind, level: usize) -> Result<Prepared, String> {
-    let digest = fnv1a(fsm.to_dsl().as_bytes());
-    let model = match kind {
-        ConfigKind::Scfi => {
-            let hardened = harden(fsm, &ScfiConfig::new(level))
-                .map_err(|e| format!("hardening failed: {e}"))?;
-            hardened
-                .check_all_edges()
-                .map_err(|e| format!("internal verification failed: {e}"))?;
-            PreparedModel::Scfi(Box::new(hardened))
-        }
-        ConfigKind::Redundancy => PreparedModel::Redundancy(Box::new(
-            redundancy(fsm, level).map_err(|e| format!("redundancy transform failed: {e}"))?,
-        )),
-        ConfigKind::Unprotected => {
-            let lowered = lower_unprotected(fsm).map_err(|e| format!("lowering failed: {e}"))?;
-            PreparedModel::Unprotected(Box::new(UnprotectedModel {
-                fsm: fsm.clone(),
-                lowered,
-            }))
-        }
-    };
-    let module = match &model {
-        PreparedModel::Scfi(h) => h.module(),
-        PreparedModel::Redundancy(r) => r.module(),
-        PreparedModel::Unprotected(u) => u.lowered.module(),
-    };
-    let packed = Arc::new(PackedNetlist::compile(module));
-    Ok(Prepared {
-        model,
-        packed,
-        digest,
-    })
+    Prepared::new(fsm, kind, &ScfiConfig::new(level))
 }
 
 /// The cache key: the *full* canonical DSL (not just its digest —

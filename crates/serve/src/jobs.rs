@@ -1,38 +1,64 @@
-//! Job specifications and execution for the `scfi serve` HTTP API.
+//! The one job core behind `scfi analyze`, `scfi certify` and the
+//! `scfi serve` HTTP API.
 //!
-//! A [`JobSpec`] is the validated form of a `POST /v1/jobs` body: which
-//! experiment to run (`analyze` or `certify`), on which FSM (inline DSL
-//! or a bundled suite name), under which configuration and knobs. Parsing
-//! is strict — unknown fields, contradictory knobs and malformed values
-//! are typed 4xx [`ApiError`]s, never silent defaults — because a job
-//! server that guesses runs the wrong experiment at a distance.
+//! A [`JobSpec`] names one experiment: its kind, FSM, configuration and
+//! knobs. [`JobSpec::from_json`] validates a `POST /v1/jobs` body strictly
+//! (unknown fields, contradictory knobs and malformed values are typed 4xx
+//! [`ApiError`]s, never silent defaults); the CLI sets the same fields from
+//! its flags, including the CLI-only knobs that `from_json` leaves at
+//! their [`JobSpec::new`] defaults.
 //!
-//! [`run_job`] then executes a spec against a cached [`Prepared`] model
-//! under a [`RunControl`] handle. The rendered result bytes are exactly
-//! what the CLI would print for the same experiment (the [`wire`]
-//! writers are shared), which is what the determinism conformance suite
-//! pins.
+//! A job runs in two steps. [`execute`] runs the spec against a
+//! [`Prepared`] model under a [`RunControl`] and returns the typed
+//! [`JobResult`]. Rendering follows: [`run_job`] renders the result with
+//! the [`wire`] writers as the served document, while the CLI renders the
+//! same result as text or with the same writers. Served and CLI results
+//! are therefore byte-identical — the determinism conformance suite pins
+//! that against independent direct library runs.
 
+use std::fmt::Display;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
+use scfi_core::{PadPolicy, ScfiConfig};
 use scfi_faultsim::{
-    enumerate_faults, CampaignConfig, CampaignError, Fault, FaultEffect, FaultTarget,
-    RedundancyTarget, RunControl, ScfiTarget, StopReason, UnprotectedTarget, VulnerabilityMap,
+    enumerate_faults, try_run_multi_fault, Backend, CampaignConfig, CampaignError, CampaignReport,
+    Fault, FaultEffect, FaultTarget, RedundancyTarget, RunControl, ScfiTarget, StopReason,
+    UnprotectedTarget, VulnerabilityMap,
 };
 use scfi_fsm::{parse_fsm, Fsm};
 use scfi_netlist::Module;
-use scfi_symbolic::{Certifier, CertifyBudget, CertifyModel, JointReport, JointVerdict};
+use scfi_symbolic::{
+    CertificationReport, Certifier, CertifyBudget, CertifyModel, JointReport, JointVerdict,
+};
 use scfi_telemetry::Telemetry;
 
 use crate::cache::{ConfigKind, Prepared, PreparedModel};
 use crate::json::{obj, Json};
 use crate::wire;
 
-/// The CLI's fixed protocol-walk seed, mirrored here so a served
-/// protocol campaign analyzes the identical scenario set as
-/// `scfi analyze --protocol K` on the same FSM.
+/// The fixed protocol-walk seed, so every protocol campaign on the same
+/// FSM and depth — CLI or served — analyzes the identical scenario set.
 pub const WALK_SEED: u64 = 0x5CF1_3007;
+
+/// Packed-engine wave widths in lanes, as accepted by `--lanes` and the
+/// `"lanes"` field.
+pub const LANES: [u64; 3] = [64, 128, 256];
+
+/// The lane words (64-lane words per wave) of a wave width in [`LANES`].
+pub fn lane_words(lanes: u64) -> Option<usize> {
+    LANES.contains(&lanes).then_some((lanes / 64) as usize)
+}
+
+/// Renders accepted values as `"a, b or c"` for error messages.
+pub fn one_of<T: Display>(choices: impl IntoIterator<Item = T>) -> String {
+    let names: Vec<String> = choices.into_iter().map(|c| c.to_string()).collect();
+    match names.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => names.concat(),
+    }
+}
 
 /// A typed request failure: HTTP status plus a stable machine-readable
 /// code and a human message, rendered as
@@ -75,7 +101,7 @@ impl ApiError {
 /// Which experiment a job runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobKind {
-    /// Exhaustive campaign → per-site vulnerability map.
+    /// Fault campaign → per-site vulnerability map or campaign summary.
     Analyze,
     /// BDD certification → per-site or joint verdicts.
     Certify,
@@ -100,6 +126,27 @@ pub enum Format {
     Csv,
 }
 
+impl Format {
+    /// Streams a per-site map in this format, returning its content type.
+    pub fn write_sites(
+        self,
+        out: &mut String,
+        module: &Module,
+        map: &VulnerabilityMap,
+    ) -> &'static str {
+        match self {
+            Format::Json => {
+                wire::write_sites_json(out, module, map);
+                "application/json"
+            }
+            Format::Csv => {
+                wire::write_sites_csv(out, module, map);
+                "text/csv"
+            }
+        }
+    }
+}
+
 /// A validated job request.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
@@ -112,7 +159,7 @@ pub struct JobSpec {
     /// Protection level N.
     pub level: usize,
     /// Campaign backend (analyze).
-    pub backend: scfi_faultsim::Backend,
+    pub backend: Backend,
     /// Packed-engine lane words (analyze).
     pub lane_words: usize,
     /// Multi-cycle protocol walk depth (analyze).
@@ -137,6 +184,24 @@ pub struct JobSpec {
     pub max_injections: Option<u64>,
     /// BDD node budget (certify).
     pub max_bdd_nodes: Option<usize>,
+    /// Restricts campaign faults to this cell range (analyze; CLI
+    /// `--region`).
+    pub region: Option<Range<u32>>,
+    /// A sampled campaign of `(faults per draw, draws)` instead of the
+    /// exhaustive single-fault one (analyze; CLI `--multi M --runs K`).
+    pub multi: Option<(usize, usize)>,
+    /// Arm each drawn fault on its own sampled cycle (analyze with
+    /// `multi`; CLI `--fault-windows`).
+    pub fault_windows: bool,
+    /// Adaptive MDS sizing (SCFI hardening; CLI `--adaptive`).
+    pub adaptive: bool,
+    /// Pattern-match selector rails, at least 1 (SCFI hardening; CLI
+    /// `--rails`).
+    pub rails: usize,
+    /// Output-logic protection (SCFI hardening; CLI `--protect-outputs`).
+    pub protect_outputs: bool,
+    /// MDS input padding (SCFI hardening; CLI `--pad`).
+    pub pad: PadPolicy,
 }
 
 fn field_str(doc: &Json, key: &str) -> Result<Option<String>, ApiError> {
@@ -193,6 +258,37 @@ const KNOWN_FIELDS: &[&str] = &[
 ];
 
 impl JobSpec {
+    /// A `kind` job on `fsm` with every knob at its default: what an
+    /// omitted request field or CLI flag means.
+    pub fn new(kind: JobKind, fsm: Fsm) -> JobSpec {
+        JobSpec {
+            kind,
+            fsm,
+            config: ConfigKind::Scfi,
+            level: 3,
+            backend: Backend::default(),
+            lane_words: 4,
+            protocol: None,
+            fuzz_inputs: false,
+            format: Format::Json,
+            stuck_at: false,
+            pin_faults: false,
+            joint: false,
+            max_active: None,
+            all_gates: false,
+            timeout_secs: None,
+            max_injections: None,
+            max_bdd_nodes: None,
+            region: None,
+            multi: None,
+            fault_windows: false,
+            adaptive: false,
+            rails: 1,
+            protect_outputs: false,
+            pad: PadPolicy::Zero,
+        }
+    }
+
     /// Parses and validates a `POST /v1/jobs` body.
     pub fn from_json(doc: &Json) -> Result<JobSpec, ApiError> {
         let fields = doc.as_obj().ok_or_else(|| {
@@ -228,18 +324,11 @@ impl JobSpec {
             }
             (Some(dsl), None) => parse_fsm(&dsl)
                 .map_err(|e| ApiError::bad_request("bad_dsl", format!("parsing `fsm`: {e}")))?,
-            (None, Some(name)) => scfi_opentitan::by_name(&name)
-                .map(|b| b.fsm)
-                .or_else(|| {
-                    scfi_opentitan::protocol_workloads()
-                        .into_iter()
-                        .find(|f| f.name() == name)
-                })
-                .ok_or(ApiError {
-                    status: 404,
-                    code: "unknown_suite",
-                    message: format!("no bundled FSM named `{name}`"),
-                })?,
+            (None, Some(name)) => scfi_opentitan::bundled(&name).ok_or(ApiError {
+                status: 404,
+                code: "unknown_suite",
+                message: format!("no bundled FSM named `{name}`"),
+            })?,
             (None, None) => {
                 return Err(ApiError::bad_request(
                     "bad_fsm",
@@ -247,39 +336,34 @@ impl JobSpec {
                 ))
             }
         };
+        let mut spec = JobSpec::new(kind, fsm);
 
-        let config = match field_str(doc, "config")?.as_deref() {
-            None => ConfigKind::Scfi,
-            Some(name) => ConfigKind::parse(name).ok_or_else(|| {
+        if let Some(name) = field_str(doc, "config")? {
+            spec.config = ConfigKind::parse(&name).ok_or_else(|| {
                 ApiError::bad_request(
                     "bad_config",
                     format!("`config` must be scfi, redundancy or unprotected (got `{name}`)"),
                 )
-            })?,
-        };
-        let level = field_uint(doc, "level")?.unwrap_or(3) as usize;
-
-        let backend = match field_str(doc, "backend")?.as_deref() {
-            None => scfi_faultsim::Backend::default(),
-            Some(name) => scfi_faultsim::Backend::parse(name).ok_or_else(|| {
+            })?;
+        }
+        spec.level = field_uint(doc, "level")?.map_or(spec.level, |l| l as usize);
+        if let Some(name) = field_str(doc, "backend")? {
+            spec.backend = Backend::parse(&name).ok_or_else(|| {
                 ApiError::bad_request(
                     "bad_backend",
-                    format!("`backend` must be scalar, packed or simd (got `{name}`)"),
+                    format!("`backend` must be {} (got `{name}`)", one_of(Backend::ALL)),
                 )
-            })?,
-        };
-        let lane_words = match field_uint(doc, "lanes")? {
-            None | Some(256) => 4,
-            Some(64) => 1,
-            Some(128) => 2,
-            Some(other) => {
-                return Err(ApiError::bad_request(
+            })?;
+        }
+        if let Some(lanes) = field_uint(doc, "lanes")? {
+            spec.lane_words = lane_words(lanes).ok_or_else(|| {
+                ApiError::bad_request(
                     "bad_lanes",
-                    format!("`lanes` must be 64, 128 or 256 (got {other})"),
-                ))
-            }
-        };
-        let protocol = match field_uint(doc, "protocol")? {
+                    format!("`lanes` must be {} (got {lanes})", one_of(LANES)),
+                )
+            })?;
+        }
+        spec.protocol = match field_uint(doc, "protocol")? {
             None => None,
             Some(0) => {
                 return Err(ApiError::bad_request(
@@ -289,32 +373,32 @@ impl JobSpec {
             }
             Some(depth) => Some(depth as usize),
         };
-        let fuzz_inputs = field_bool(doc, "fuzz_inputs")?;
-        if fuzz_inputs && protocol.is_none() {
+        spec.fuzz_inputs = field_bool(doc, "fuzz_inputs")?;
+        if spec.fuzz_inputs && spec.protocol.is_none() {
             return Err(ApiError::bad_request(
                 "bad_knobs",
                 "`fuzz_inputs` biases protocol walks; it requires `protocol`",
             ));
         }
-        let format = match field_str(doc, "format")?.as_deref() {
-            None | Some("json") => Format::Json,
-            Some("csv") => Format::Csv,
+        match field_str(doc, "format")?.as_deref() {
+            None | Some("json") => {}
+            Some("csv") => spec.format = Format::Csv,
             Some(other) => {
                 return Err(ApiError::bad_request(
                     "bad_format",
                     format!("`format` must be json or csv (got `{other}`)"),
                 ))
             }
-        };
-        let joint = field_bool(doc, "joint")?;
-        let max_active = field_uint(doc, "max_active")?.map(|v| v as usize);
+        }
+        spec.joint = field_bool(doc, "joint")?;
+        spec.max_active = field_uint(doc, "max_active")?.map(|v| v as usize);
 
         // Per-kind knob validation: a knob that silently did nothing
         // would make the served experiment diverge from what the client
         // believes it requested.
         match kind {
             JobKind::Analyze => {
-                if joint || max_active.is_some() || field_bool(doc, "all_gates")? {
+                if spec.joint || spec.max_active.is_some() || field_bool(doc, "all_gates")? {
                     return Err(ApiError::bad_request(
                         "bad_knobs",
                         "`joint`, `max_active` and `all_gates` are certify knobs",
@@ -330,8 +414,8 @@ impl JobSpec {
             JobKind::Certify => {
                 if doc.get("backend").is_some()
                     || doc.get("lanes").is_some()
-                    || protocol.is_some()
-                    || fuzz_inputs
+                    || spec.protocol.is_some()
+                    || spec.fuzz_inputs
                     || doc.get("format").is_some()
                     || doc.get("max_injections").is_some()
                 {
@@ -341,7 +425,7 @@ impl JobSpec {
                          `max_injections` are analyze knobs",
                     ));
                 }
-                if max_active.is_some() && !joint {
+                if spec.max_active.is_some() && !spec.joint {
                     return Err(ApiError::bad_request(
                         "bad_knobs",
                         "`max_active` sets the `joint` fault bound",
@@ -350,25 +434,13 @@ impl JobSpec {
             }
         }
 
-        Ok(JobSpec {
-            kind,
-            fsm,
-            config,
-            level,
-            backend,
-            lane_words,
-            protocol,
-            fuzz_inputs,
-            format,
-            stuck_at: field_bool(doc, "stuck_at")?,
-            pin_faults: field_bool(doc, "pin_faults")?,
-            joint,
-            max_active,
-            all_gates: field_bool(doc, "all_gates")?,
-            timeout_secs: field_uint(doc, "timeout_secs")?,
-            max_injections: field_uint(doc, "max_injections")?,
-            max_bdd_nodes: field_uint(doc, "max_bdd_nodes")?.map(|v| v as usize),
-        })
+        spec.stuck_at = field_bool(doc, "stuck_at")?;
+        spec.pin_faults = field_bool(doc, "pin_faults")?;
+        spec.all_gates = field_bool(doc, "all_gates")?;
+        spec.timeout_secs = field_uint(doc, "timeout_secs")?;
+        spec.max_injections = field_uint(doc, "max_injections")?;
+        spec.max_bdd_nodes = field_uint(doc, "max_bdd_nodes")?.map(|v| v as usize);
+        Ok(spec)
     }
 
     /// Builds the run-control handle for this job, arming the deadline
@@ -383,22 +455,54 @@ impl JobSpec {
         }
         control
     }
+
+    /// The certification budget: `timeout_secs` (armed when the
+    /// certifier is built) and `max_bdd_nodes`.
+    pub fn certify_budget(&self) -> CertifyBudget {
+        let mut budget = CertifyBudget::unlimited();
+        if let Some(secs) = self.timeout_secs {
+            budget = budget.timeout(Duration::from_secs(secs));
+        }
+        if let Some(nodes) = self.max_bdd_nodes {
+            budget = budget.max_nodes(nodes);
+        }
+        budget
+    }
+
+    /// The SCFI hardening configuration: `level` plus the hardening
+    /// options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rails` is zero.
+    pub fn scfi_config(&self) -> ScfiConfig {
+        ScfiConfig::new(self.level)
+            .adaptive_mds(self.adaptive)
+            .selector_rails(self.rails)
+            .protect_outputs(self.protect_outputs)
+            .pad(self.pad)
+    }
+}
+
+fn fault_effects(stuck_at: bool) -> Vec<FaultEffect> {
+    if stuck_at {
+        vec![FaultEffect::Flip, FaultEffect::Stuck0, FaultEffect::Stuck1]
+    } else {
+        vec![FaultEffect::Flip]
+    }
 }
 
 /// Enumerates the certification fault space — the shared definition used
-/// by the per-site and the joint engines (and by `scfi certify`).
+/// by the per-site and the joint engines.
 pub fn certify_fault_set(
     module: &Module,
     all_gates: bool,
     stuck_at: bool,
     pin_faults: bool,
 ) -> Vec<Fault> {
-    let mut effects = vec![FaultEffect::Flip];
-    if stuck_at {
-        effects.push(FaultEffect::Stuck0);
-        effects.push(FaultEffect::Stuck1);
-    }
-    let mut fault_config = CampaignConfig::new().effects(effects).with_register_flips();
+    let mut fault_config = CampaignConfig::new()
+        .effects(fault_effects(stuck_at))
+        .with_register_flips();
     if !all_gates {
         // The paper's FT1 claim: the state registers (stored-bit flips
         // plus the register-region nets).
@@ -408,6 +512,34 @@ pub fn certify_fault_set(
         fault_config = fault_config.with_pin_faults();
     }
     enumerate_faults(module, &fault_config)
+}
+
+/// A job's typed result, before rendering.
+pub enum JobResult {
+    /// An analyze campaign, or the interruption or failure that ended it.
+    Campaign {
+        /// Scenarios run (the walk count under `protocol`).
+        scenarios: usize,
+        /// The completed campaign.
+        result: Result<Campaign, CampaignError>,
+    },
+    /// Per-site certification.
+    Certification(CertificationReport),
+    /// Joint multi-fault certification.
+    Joint {
+        /// The joint verdict.
+        report: JointReport,
+        /// The counterexample's active faults, described.
+        active: Option<String>,
+    },
+}
+
+/// A completed analyze campaign.
+pub enum Campaign {
+    /// The exhaustive single-fault campaign, attributed to fault sites.
+    Sites(VulnerabilityMap),
+    /// A sampled multi-fault campaign (`multi`).
+    Summary(CampaignReport),
 }
 
 /// How a job run ended.
@@ -434,42 +566,88 @@ pub enum JobOutcome {
     },
 }
 
-/// Executes a validated spec against its prepared model under `control`,
-/// emitting engine telemetry (campaign wave counters, BDD statistics)
-/// into `telemetry`.
+/// Runs a validated spec against its prepared model under `control`,
+/// emitting engine telemetry into `telemetry`.
 ///
-/// Analyze campaigns honor `control` cooperatively at wave boundaries
-/// (cancellation, deadline, injection budget → [`JobOutcome::Stopped`]
-/// with the completed prefix). Certification maps `timeout_secs` and
-/// `max_bdd_nodes` onto its [`CertifyBudget`] and polls `control`'s
-/// cancel flag inside the BDD step loop, so `DELETE` on a running
-/// certify job aborts within a few thousand symbolic operation steps —
-/// the same responsiveness class as a campaign's wave boundary.
+/// Campaigns stop cooperatively at wave boundaries (cancellation,
+/// deadline, injection budget → a [`CampaignError`] carrying the
+/// completed prefix). Certification runs under
+/// [`JobSpec::certify_budget`] and polls `control`'s cancel flag inside
+/// the BDD step loop; an exhausted budget or a cancellation degrades
+/// verdicts to `Unknown`, never to a proof.
+pub fn execute(
+    spec: &JobSpec,
+    prepared: &Prepared,
+    control: &RunControl,
+    telemetry: &Telemetry,
+) -> JobResult {
+    match spec.kind {
+        JobKind::Analyze => analyze(spec, prepared, control, telemetry),
+        JobKind::Certify => match &prepared.model {
+            PreparedModel::Scfi(h) => certify(h.as_ref(), spec, control, telemetry),
+            PreparedModel::Redundancy(r) => certify(r.as_ref(), spec, control, telemetry),
+            PreparedModel::Unprotected(u) => certify(&u.lowered, spec, control, telemetry),
+        },
+    }
+}
+
+/// Executes a spec and renders its result as the served document: the
+/// per-site map in `spec.format`, the certification or joint JSON, or
+/// the partial-result JSON of an interrupted campaign.
 pub fn run_job(
     spec: &JobSpec,
     prepared: &Prepared,
     control: &RunControl,
     telemetry: &Telemetry,
 ) -> JobOutcome {
-    match spec.kind {
-        JobKind::Analyze => run_analyze(spec, prepared, control, telemetry),
-        JobKind::Certify => run_certify(spec, prepared, control, telemetry),
+    let mut body = String::new();
+    let content_type = match execute(spec, prepared, control, telemetry) {
+        JobResult::Campaign { result, .. } => match result {
+            Ok(Campaign::Sites(map)) => spec.format.write_sites(&mut body, prepared.module(), &map),
+            Ok(Campaign::Summary(_)) => {
+                return JobOutcome::Failed {
+                    message: "a multi-fault campaign has no result document".to_string(),
+                }
+            }
+            Err(CampaignError::Interrupted { reason, partial }) => {
+                wire::write_partial_json(&mut body, reason, &partial);
+                return JobOutcome::Stopped { reason, body };
+            }
+            Err(other) => {
+                return JobOutcome::Failed {
+                    message: format!("campaign failed: {other}"),
+                }
+            }
+        },
+        JobResult::Certification(report) => {
+            wire::write_certify_json(&mut body, prepared.module(), &report);
+            "application/json"
+        }
+        JobResult::Joint { report, .. } => {
+            wire::write_joint_json(&mut body, &report);
+            "application/json"
+        }
+    };
+    // A cancelled certification aborts inside the BDD step loop and
+    // surfaces as Unknown verdicts; report it as a stopped job (with the
+    // clearly degraded document as the partial body), not a completion.
+    if spec.kind == JobKind::Certify && control.is_cancelled() {
+        return JobOutcome::Stopped {
+            reason: StopReason::Cancelled,
+            body,
+        };
     }
+    JobOutcome::Done { body, content_type }
 }
 
-fn run_analyze(
+fn analyze(
     spec: &JobSpec,
     prepared: &Prepared,
     control: &RunControl,
     telemetry: &Telemetry,
-) -> JobOutcome {
-    let mut effects = vec![FaultEffect::Flip];
-    if spec.stuck_at {
-        effects.push(FaultEffect::Stuck0);
-        effects.push(FaultEffect::Stuck1);
-    }
+) -> JobResult {
     let mut config = CampaignConfig::new()
-        .effects(effects)
+        .effects(fault_effects(spec.stuck_at))
         .threads(2)
         .lane_words(spec.lane_words)
         .backend(spec.backend)
@@ -478,18 +656,24 @@ fn run_analyze(
     if spec.pin_faults {
         config = config.with_pin_faults();
     }
-
-    let result = match &prepared.model {
+    if spec.fault_windows {
+        config = config.with_fault_windows();
+    }
+    if let Some(cells) = &spec.region {
+        config = config.region(cells.clone());
+    }
+    let walk = (spec.protocol, spec.fuzz_inputs);
+    match &prepared.model {
         PreparedModel::Scfi(hardened) => {
-            let target = match (spec.protocol, spec.fuzz_inputs) {
+            let target = match walk {
                 (Some(depth), true) => ScfiTarget::with_fuzzed_protocol(hardened, depth, WALK_SEED),
                 (Some(depth), false) => ScfiTarget::with_protocol(hardened, depth, WALK_SEED),
                 (None, _) => ScfiTarget::new(hardened),
             };
-            analyze_target(&target, spec, prepared.module(), &config, control)
+            campaign(&target, spec, &config, control)
         }
         PreparedModel::Redundancy(redundant) => {
-            let target = match (spec.protocol, spec.fuzz_inputs) {
+            let target = match walk {
                 (Some(depth), true) => {
                     RedundancyTarget::with_fuzzed_protocol(redundant, depth, WALK_SEED)
                 }
@@ -498,10 +682,10 @@ fn run_analyze(
                 }
                 (None, _) => RedundancyTarget::new(redundant),
             };
-            analyze_target(&target, spec, prepared.module(), &config, control)
+            campaign(&target, spec, &config, control)
         }
         PreparedModel::Unprotected(u) => {
-            let target = match (spec.protocol, spec.fuzz_inputs) {
+            let target = match walk {
                 (Some(depth), true) => {
                     UnprotectedTarget::with_fuzzed_protocol(&u.fsm, &u.lowered, depth, WALK_SEED)
                 }
@@ -510,85 +694,64 @@ fn run_analyze(
                 }
                 (None, _) => UnprotectedTarget::new(&u.fsm, &u.lowered),
             };
-            analyze_target(&target, spec, prepared.module(), &config, control)
+            campaign(&target, spec, &config, control)
         }
-    };
-    match result {
-        Ok(outcome) => outcome,
-        Err(e) => JobOutcome::Failed {
-            message: format!("campaign failed: {e}"),
-        },
     }
 }
 
-fn analyze_target<T: FaultTarget>(
+fn campaign<T: FaultTarget>(
     target: &T,
     spec: &JobSpec,
-    module: &Module,
     config: &CampaignConfig,
     control: &RunControl,
-) -> Result<JobOutcome, CampaignError> {
-    match VulnerabilityMap::try_analyze(target, config, control) {
-        Ok(map) => {
-            let mut body = String::new();
-            let content_type = match spec.format {
-                Format::Json => {
-                    wire::write_sites_json(&mut body, module, &map);
-                    "application/json"
-                }
-                Format::Csv => {
-                    wire::write_sites_csv(&mut body, module, &map);
-                    "text/csv"
-                }
-            };
-            Ok(JobOutcome::Done { body, content_type })
+) -> JobResult {
+    let result = match spec.multi {
+        Some((faults, runs)) => {
+            try_run_multi_fault(target, faults, runs, config, control).map(Campaign::Summary)
         }
-        Err(CampaignError::Interrupted { reason, partial }) => {
-            let mut body = String::new();
-            wire::write_partial_json(&mut body, reason, &partial);
-            Ok(JobOutcome::Stopped { reason, body })
-        }
-        Err(other) => Err(other),
+        None => VulnerabilityMap::try_analyze(target, config, control).map(Campaign::Sites),
+    };
+    JobResult::Campaign {
+        scenarios: target.scenario_count(),
+        result,
     }
 }
 
-fn run_certify(
-    spec: &JobSpec,
-    prepared: &Prepared,
-    control: &RunControl,
-    telemetry: &Telemetry,
-) -> JobOutcome {
-    match &prepared.model {
-        PreparedModel::Scfi(h) => certify_model(h.as_ref(), spec, control, telemetry),
-        PreparedModel::Redundancy(r) => certify_model(r.as_ref(), spec, control, telemetry),
-        PreparedModel::Unprotected(u) => certify_model(&u.lowered, spec, control, telemetry),
-    }
-}
-
-fn certify_model<M: CertifyModel>(
+fn certify<M: CertifyModel>(
     model: &M,
     spec: &JobSpec,
     control: &RunControl,
     telemetry: &Telemetry,
-) -> JobOutcome {
+) -> JobResult {
     let module = model.module();
     let faults = certify_fault_set(module, spec.all_gates, spec.stuck_at, spec.pin_faults);
-    let mut budget = CertifyBudget::unlimited();
-    if let Some(secs) = spec.timeout_secs {
-        budget = budget.timeout(Duration::from_secs(secs));
+    // A budget overflow during setup means no certifier exists at all:
+    // the claim degrades to Unknown rather than a fabricated proof.
+    let certifier = Certifier::with_instruments(
+        model,
+        spec.certify_budget(),
+        telemetry.clone(),
+        Some(control.clone()),
+    );
+    if !spec.joint {
+        return JobResult::Certification(match certifier {
+            Ok(mut certifier) => certifier.certify_all(&faults),
+            Err(overflow) => Certifier::degraded_report(model, &faults, overflow),
+        });
     }
-    if let Some(nodes) = spec.max_bdd_nodes {
-        budget = budget.max_nodes(nodes);
-    }
-    let instruments =
-        || Certifier::with_instruments(model, budget, telemetry.clone(), Some(control.clone()));
-    let mut body = String::new();
-    if spec.joint {
-        // The paper's §3 bound: up to N − 1 simultaneous faults.
-        let max_active = spec.max_active.unwrap_or(spec.level.saturating_sub(1));
-        let report = match instruments() {
-            Ok(mut certifier) => certifier.certify_joint(&faults, max_active),
-            Err(overflow) => JointReport {
+    // The paper's §3 bound: up to N − 1 simultaneous faults.
+    let max_active = spec.max_active.unwrap_or(spec.level.saturating_sub(1));
+    match certifier {
+        Ok(mut certifier) => {
+            let report = certifier.certify_joint(&faults, max_active);
+            let active = match &report.verdict {
+                JointVerdict::Counterexample(w) => Some(certifier.describe_active(w)),
+                _ => None,
+            };
+            JobResult::Joint { report, active }
+        }
+        Err(overflow) => JobResult::Joint {
+            report: JointReport {
                 config: model.config_name(),
                 module: module.name().to_string(),
                 sites: faults.len(),
@@ -598,27 +761,8 @@ fn certify_model<M: CertifyModel>(
                     reason: overflow.to_string(),
                 },
             },
-        };
-        wire::write_joint_json(&mut body, &report);
-    } else {
-        let report = match instruments() {
-            Ok(mut certifier) => certifier.certify_all(&faults),
-            Err(overflow) => Certifier::degraded_report(model, &faults, overflow),
-        };
-        wire::write_certify_json(&mut body, module, &report);
-    }
-    // A cancelled certification aborts inside the BDD step loop and
-    // surfaces as Unknown verdicts; report it as a stopped job (with the
-    // clearly degraded document as the partial body), not a completion.
-    if control.is_cancelled() {
-        return JobOutcome::Stopped {
-            reason: StopReason::Cancelled,
-            body,
-        };
-    }
-    JobOutcome::Done {
-        body,
-        content_type: "application/json",
+            active: None,
+        },
     }
 }
 
@@ -639,10 +783,29 @@ mod tests {
         assert_eq!(s.kind, JobKind::Analyze);
         assert_eq!(s.config, ConfigKind::Scfi);
         assert_eq!(s.level, 3);
-        assert_eq!(s.backend, scfi_faultsim::Backend::Packed);
+        assert_eq!(s.backend, Backend::Packed);
         assert_eq!(s.lane_words, 4);
         assert_eq!(s.format, Format::Json);
         assert_eq!(s.fsm.name(), "demo");
+        // The CLI-only knobs stay at their defaults.
+        assert_eq!(s.region, None);
+        assert_eq!(s.multi, None);
+        assert!(!s.fault_windows);
+        assert_eq!(s.rails, 1);
+        let defaults = ScfiConfig::new(3);
+        let config = s.scfi_config();
+        assert_eq!(config.is_adaptive_mds(), defaults.is_adaptive_mds());
+        assert_eq!(config.outputs_protected(), defaults.outputs_protected());
+        assert_eq!(config.pad_policy(), defaults.pad_policy());
+    }
+
+    #[test]
+    fn knob_choices_are_spelled_once() {
+        assert_eq!(one_of(Backend::ALL), "scalar, packed or simd");
+        assert_eq!(one_of(LANES), "64, 128 or 256");
+        assert_eq!(LANES.map(lane_words), [Some(1), Some(2), Some(4)]);
+        assert_eq!(lane_words(96), None);
+        assert_eq!(lane_words(512), None);
     }
 
     fn dsl_lit() -> String {

@@ -12,12 +12,18 @@
 //! GET    /v1/healthz          liveness, queue depth, cache counters
 //! ```
 //!
-//! The serving layer adds *no* semantics of its own: a served result is
-//! byte-identical to the CLI output for the same experiment (the wire
-//! writers in [`wire`] are shared with `scfi analyze --format csv|json`),
-//! and the compiled-model cache in [`cache`] is a pure memoization of
-//! deterministic preparation — the determinism conformance suite pins
-//! both properties, cache-hit path included.
+//! The crate is also the one job core for the CLI: [`jobs`] runs every
+//! analyze and certify job, served or not. A [`JobSpec`] is prepared
+//! into a [`Prepared`] model ([`Prepared::new`] is the only preparation
+//! path), [`jobs::execute`] returns the typed [`jobs::JobResult`], and a
+//! rendering step turns it into bytes — [`jobs::run_job`] with the
+//! [`wire`] writers for the server, text or the same writers for
+//! `scfi analyze`/`scfi certify`. The serving layer therefore adds *no*
+//! semantics of its own: a served result is byte-identical to the CLI
+//! output for the same experiment, and the compiled-model cache in
+//! [`cache`] is a pure memoization of deterministic preparation — the
+//! determinism conformance suite pins both properties, cache-hit path
+//! included.
 //!
 //! ```no_run
 //! use scfi_serve::{Server, ServerOptions};
