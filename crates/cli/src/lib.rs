@@ -426,7 +426,10 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         ..base
     };
     let control = spec.run_control();
-    let prepared = prepare(&spec, ConfigKind::Scfi)?;
+    let prepared = {
+        let _span = stats.telemetry.span("prepare");
+        prepare(&spec, ConfigKind::Scfi)?
+    };
     let hardened = hardened(&prepared);
     flags.finish()?;
     let cells = hardened.regions();
@@ -458,11 +461,14 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         other => return Err(usage_err(format!("unknown format `{other}`"))),
     }
 
-    let JobResult::Campaign { scenarios, result } =
+    let job = {
+        let _span = stats.telemetry.span("campaign");
         jobs::execute(&spec, &prepared, &control, &stats.telemetry)
-    else {
+    };
+    let JobResult::Campaign { scenarios, result } = job else {
         unreachable!("an analyze job runs a campaign")
     };
+    let render = stats.telemetry.span("render");
     if let Some(depth) = protocol {
         let _ = writeln!(
             out,
@@ -494,6 +500,7 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     } else if let Campaign::Sites(map) = campaign {
         spec.format.write_sites(out, prepared.module(), &map);
     }
+    drop(render);
     stats.emit(out)?;
     Ok(())
 }
@@ -650,10 +657,14 @@ fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
         ..base
     };
     let control = spec.run_control();
-    let prepared = prepare(&spec, spec.config)?;
+    let prepared = {
+        let _span = stats.telemetry.span("prepare");
+        prepare(&spec, spec.config)?
+    };
 
     match jobs::execute(&spec, &prepared, &control, &stats.telemetry) {
         JobResult::Joint { report, active } => {
+            let render = stats.telemetry.span("render");
             let _ = writeln!(out, "{report}");
             if let (JointVerdict::Counterexample(w), Some(active)) = (&report.verdict, active) {
                 let _ = writeln!(out, "  active: {active}");
@@ -664,6 +675,7 @@ fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
                     bits(&w.inputs)
                 );
             }
+            drop(render);
             stats.emit(out)?;
             match &report.verdict {
                 JointVerdict::Proved => Ok(()),
@@ -684,7 +696,9 @@ fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
             }
         }
         JobResult::Certification(report) => {
+            let render = stats.telemetry.span("render");
             write_certification(out, prepared.module(), &report, per_site, all_gates);
+            drop(render);
             stats.emit(out)?;
             if expect_proof && report.counterexamples() > 0 {
                 return Err(CliError {
@@ -1291,7 +1305,16 @@ mod tests {
         assert!(doc.starts_with("{\"traceEvents\": ["), "{doc}");
         assert!(doc.contains("\"certify_setup\""), "{doc}");
         assert!(doc.contains("\"certify_site\""), "{doc}");
+        assert!(doc.contains("\"prepare\""), "{doc}");
         assert!(doc.contains("\"ph\": \"X\""), "{doc}");
+        // analyze traces its phases too, and its report stays byte-identical.
+        let plain = run_ok(&["analyze", p, "--level", "2"]);
+        let traced = run_ok(&["analyze", p, "--level", "2", "--trace-out", t]);
+        assert_eq!(traced, plain);
+        let doc = std::fs::read_to_string(&trace).expect("trace file written");
+        for span in ["\"prepare\"", "\"campaign\"", "\"render\""] {
+            assert!(doc.contains(span), "{span} missing: {doc}");
+        }
         let e = run_err(&["certify", p, "--trace-out", "/nonexistent-dir/t.json"]);
         assert_eq!(e.code, 2);
         let _ = std::fs::remove_file(path);

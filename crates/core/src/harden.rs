@@ -103,7 +103,7 @@ pub struct HardenedFsm {
     fsm: Fsm,
     cfg: Cfg,
     config: ScfiConfig,
-    mds: MdsMatrix,
+    mds: &'static MdsMatrix,
     state_code: Codebook,
     cond_code: Codebook,
     layout: MixLayout,
@@ -155,7 +155,7 @@ pub fn harden(fsm: &Fsm, config: &ScfiConfig) -> Result<HardenedFsm, ScfiError> 
         state_code.width(),
         cond_code.width(),
         config.error_bits_per_instance(),
-        &mds,
+        mds,
         config.seed(),
         config.pad_policy(),
     )?;
@@ -167,9 +167,9 @@ pub fn harden(fsm: &Fsm, config: &ScfiConfig) -> Result<HardenedFsm, ScfiError> 
         let from = state_code.word(edge.from.0);
         let target = state_code.word(edge.to.0);
         let cond = cond_code.word(edge.local_index(fsm));
-        let modifier = layout.solve_modifier(&mds, from, cond, target);
+        let modifier = layout.solve_modifier(mds, from, cond, target);
         debug_assert!({
-            let (next, errors) = layout.apply(&mds, from, cond, &modifier);
+            let (next, errors) = layout.apply(mds, from, cond, &modifier);
             next == *target && errors.count_ones() == errors.len()
         });
         modifiers.push(modifier);
@@ -179,7 +179,7 @@ pub fn harden(fsm: &Fsm, config: &ScfiConfig) -> Result<HardenedFsm, ScfiError> 
         fsm,
         &cfg,
         config,
-        &mds,
+        mds,
         &state_code,
         &cond_code,
         &layout,
@@ -442,8 +442,8 @@ impl HardenedFsm {
     }
 
     /// The MDS matrix instantiated in the diffusion layer.
-    pub fn mds(&self) -> &MdsMatrix {
-        &self.mds
+    pub fn mds(&self) -> &'static MdsMatrix {
+        self.mds
     }
 
     /// Per-CFG-edge modifiers (indexed like [`Cfg::edges`]).

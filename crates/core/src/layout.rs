@@ -383,14 +383,14 @@ mod tests {
 
     use crate::PadPolicy;
 
-    fn mds() -> MdsMatrix {
+    fn mds() -> &'static MdsMatrix {
         MdsSpec::ScfiLightweight.build()
     }
 
     #[test]
     fn small_layout_fits_one_instance() {
         // sw=6, xw=5, e=2 → (12+5)/30 → k=1.
-        let l = MixLayout::build(6, 5, 2, &mds(), 1, PadPolicy::Zero).unwrap();
+        let l = MixLayout::build(6, 5, 2, mds(), 1, PadPolicy::Zero).unwrap();
         assert_eq!(l.k(), 1);
         assert_eq!(l.mod_width(), 6 + 2);
         assert_eq!(l.total_error_bits(), 2);
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn larger_layout_spans_instances() {
         // sw=11, xw=10, e=4 → (22+10)/28 → k=2.
-        let l = MixLayout::build(11, 10, 4, &mds(), 1, PadPolicy::Zero).unwrap();
+        let l = MixLayout::build(11, 10, 4, mds(), 1, PadPolicy::Zero).unwrap();
         assert_eq!(l.k(), 2);
         assert_eq!(l.mod_width(), 11 + 2 * 4);
         // Every global state/control/mod bit appears exactly once.
@@ -424,7 +424,7 @@ mod tests {
 
     #[test]
     fn positions_are_disjoint_within_instances() {
-        let l = MixLayout::build(9, 7, 3, &mds(), 42, PadPolicy::Zero).unwrap();
+        let l = MixLayout::build(9, 7, 3, mds(), 42, PadPolicy::Zero).unwrap();
         for inst in l.instances() {
             let mut used = std::collections::HashSet::new();
             for &(p, _) in inst
@@ -442,12 +442,12 @@ mod tests {
     #[test]
     fn solve_then_apply_round_trips() {
         let mds = mds();
-        let l = MixLayout::build(6, 5, 2, &mds, 7, PadPolicy::Zero).unwrap();
+        let l = MixLayout::build(6, 5, 2, mds, 7, PadPolicy::Zero).unwrap();
         let from = BitVec::from_u64(0b101011, 6);
         let ctrl = BitVec::from_u64(0b11001, 5);
         let target = BitVec::from_u64(0b010111, 6);
-        let m = l.solve_modifier(&mds, &from, &ctrl, &target);
-        let (next, errors) = l.apply(&mds, &from, &ctrl, &m);
+        let m = l.solve_modifier(mds, &from, &ctrl, &target);
+        let (next, errors) = l.apply(mds, &from, &ctrl, &m);
         assert_eq!(next, target);
         assert_eq!(errors.count_ones(), errors.len(), "all error bits one");
     }
@@ -456,7 +456,7 @@ mod tests {
     fn round_trip_across_many_edges_and_sizes() {
         let mds = mds();
         for (sw, xw, e) in [(5, 4, 2), (8, 8, 3), (11, 10, 4), (13, 6, 2)] {
-            let l = MixLayout::build(sw, xw, e, &mds, 3, PadPolicy::Zero).unwrap();
+            let l = MixLayout::build(sw, xw, e, mds, 3, PadPolicy::Zero).unwrap();
             let mut rng = 0x1234_5678u64;
             for _ in 0..25 {
                 let mut draw = |w: usize| {
@@ -468,8 +468,8 @@ mod tests {
                 let from = draw(sw);
                 let ctrl = draw(xw);
                 let target = draw(sw);
-                let m = l.solve_modifier(&mds, &from, &ctrl, &target);
-                let (next, errors) = l.apply(&mds, &from, &ctrl, &m);
+                let m = l.solve_modifier(mds, &from, &ctrl, &target);
+                let (next, errors) = l.apply(mds, &from, &ctrl, &m);
                 assert_eq!(next, target, "sw={sw} xw={xw} e={e}");
                 assert_eq!(errors.count_ones(), errors.len());
             }
@@ -482,13 +482,13 @@ mod tests {
         // clean (target, all-ones) result — this is the core of the
         // modifier-selection fault argument (§6.3 step 2).
         let mds = mds();
-        let l = MixLayout::build(6, 5, 2, &mds, 7, PadPolicy::Zero).unwrap();
+        let l = MixLayout::build(6, 5, 2, mds, 7, PadPolicy::Zero).unwrap();
         let from_a = BitVec::from_u64(0b101011, 6);
         let ctrl_a = BitVec::from_u64(0b11001, 5);
         let target_a = BitVec::from_u64(0b010111, 6);
-        let m_a = l.solve_modifier(&mds, &from_a, &ctrl_a, &target_a);
+        let m_a = l.solve_modifier(mds, &from_a, &ctrl_a, &target_a);
         let from_b = BitVec::from_u64(0b110101, 6);
-        let (next, errors) = l.apply(&mds, &from_b, &ctrl_a, &m_a);
+        let (next, errors) = l.apply(mds, &from_b, &ctrl_a, &m_a);
         let clean = next == target_a && errors.count_ones() == errors.len();
         assert!(!clean, "cross-edge modifier reuse must corrupt the output");
     }
@@ -497,11 +497,11 @@ mod tests {
     fn error_bit_bounds_rejected() {
         let m = mds();
         assert!(matches!(
-            MixLayout::build(6, 5, 0, &m, 1, PadPolicy::Zero),
+            MixLayout::build(6, 5, 0, m, 1, PadPolicy::Zero),
             Err(ScfiError::ErrorBitsTooLarge { .. })
         ));
         assert!(matches!(
-            MixLayout::build(6, 5, 16, &m, 1, PadPolicy::Zero),
+            MixLayout::build(6, 5, 16, m, 1, PadPolicy::Zero),
             Err(ScfiError::ErrorBitsTooLarge { .. })
         ));
     }
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn replicate_padding_fills_every_position() {
         let mds = mds();
-        let l = MixLayout::build(6, 5, 2, &mds, 7, PadPolicy::Replicate).unwrap();
+        let l = MixLayout::build(6, 5, 2, mds, 7, PadPolicy::Replicate).unwrap();
         for inst in l.instances() {
             let occupied = inst.state_in.len() + inst.control_in.len() + inst.mod_in.len();
             assert_eq!(occupied, 32, "every MDS input position must be driven");
@@ -529,7 +529,7 @@ mod tests {
     fn replicate_padding_round_trips() {
         let mds = mds();
         for (sw, xw, e) in [(6, 5, 2), (11, 10, 4)] {
-            let l = MixLayout::build(sw, xw, e, &mds, 3, PadPolicy::Replicate).unwrap();
+            let l = MixLayout::build(sw, xw, e, mds, 3, PadPolicy::Replicate).unwrap();
             let mut rng = 0xABCDu64;
             for _ in 0..20 {
                 let mut draw = |w: usize| {
@@ -541,8 +541,8 @@ mod tests {
                 let from = draw(sw);
                 let ctrl = draw(xw);
                 let target = draw(sw);
-                let m = l.solve_modifier(&mds, &from, &ctrl, &target);
-                let (next, errors) = l.apply(&mds, &from, &ctrl, &m);
+                let m = l.solve_modifier(mds, &from, &ctrl, &target);
+                let (next, errors) = l.apply(mds, &from, &ctrl, &m);
                 assert_eq!(next, target, "sw={sw} xw={xw} e={e}");
                 assert_eq!(errors.count_ones(), errors.len());
             }
@@ -552,8 +552,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let m = mds();
-        let a = MixLayout::build(9, 7, 3, &m, 11, PadPolicy::Zero).unwrap();
-        let b = MixLayout::build(9, 7, 3, &m, 11, PadPolicy::Zero).unwrap();
+        let a = MixLayout::build(9, 7, 3, m, 11, PadPolicy::Zero).unwrap();
+        let b = MixLayout::build(9, 7, 3, m, 11, PadPolicy::Zero).unwrap();
         for (ia, ib) in a.instances().iter().zip(b.instances()) {
             assert_eq!(ia.mod_in, ib.mod_in);
         }
@@ -564,15 +564,15 @@ mod tests {
         // Flipping any single *input* bit of a solved edge must corrupt the
         // output (state ≠ target or some error bit cleared) — FT1/FT2.
         let mds = mds();
-        let l = MixLayout::build(6, 5, 2, &mds, 7, PadPolicy::Zero).unwrap();
+        let l = MixLayout::build(6, 5, 2, mds, 7, PadPolicy::Zero).unwrap();
         let from = BitVec::from_u64(0b101011, 6);
         let ctrl = BitVec::from_u64(0b11001, 5);
         let target = BitVec::from_u64(0b010111, 6);
-        let m = l.solve_modifier(&mds, &from, &ctrl, &target);
+        let m = l.solve_modifier(mds, &from, &ctrl, &target);
         for bit in 0..6 {
             let mut f = from.clone();
             f.set(bit, !f.get(bit));
-            let (next, errors) = l.apply(&mds, &f, &ctrl, &m);
+            let (next, errors) = l.apply(mds, &f, &ctrl, &m);
             assert!(
                 next != target || errors.count_ones() != errors.len(),
                 "state bit {bit} flip undetected"
@@ -581,7 +581,7 @@ mod tests {
         for bit in 0..5 {
             let mut c = ctrl.clone();
             c.set(bit, !c.get(bit));
-            let (next, errors) = l.apply(&mds, &from, &c, &m);
+            let (next, errors) = l.apply(mds, &from, &c, &m);
             assert!(
                 next != target || errors.count_ones() != errors.len(),
                 "control bit {bit} flip undetected"

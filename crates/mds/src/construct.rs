@@ -15,9 +15,11 @@ use crate::{BlockMatrix, Lowering, XorProgram};
 /// We expose exactly that choice point.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum MdsSpec {
-    /// A lightweight 4×4 MDS matrix over the paper's ring
-    /// `F₂[α]/(X⁸ + X² + 1)`, found by a deterministic minimal-XOR search
-    /// over structured candidates and *verified* MDS via block minors.
+    /// The lightweight 4×4 MDS matrix `circ(1, 1, α, α³)` over the paper's
+    /// ring `F₂[α]/(X⁸ + X² + 1)`: a baked entry table, *verified* MDS via
+    /// block minors on its first build. A unit test reproduces the
+    /// deterministic minimal-XOR search over structured candidates that
+    /// selected it.
     ///
     /// This substitutes for `M^{8,3}_{4,6}` (Duval–Leurent 2018), whose
     /// exact entries the SCFI paper does not reproduce; the security
@@ -29,31 +31,39 @@ pub enum MdsSpec {
     /// `GF(2⁸)/0x11B` — a classical, provably-MDS reference with a higher
     /// XOR count.
     AesMixColumns,
-    /// A 2×2 (16-bit) lightweight MDS matrix, branch number 3 — the
-    /// smaller matrix §7 of the paper proposes for small `{S_C, X, Mod}`
-    /// triples ("adapt the MDS matrix size … to further improve the
-    /// area-time product"), trading diffusion for area.
+    /// A 2×2 (16-bit) lightweight MDS matrix `circ(1, α)`, branch number
+    /// 3 — the smaller matrix §7 of the paper proposes for small
+    /// `{S_C, X, Mod}` triples ("adapt the MDS matrix size … to further
+    /// improve the area-time product"), trading diffusion for area.
     Lightweight16,
-    /// A 3×3 (24-bit) lightweight MDS matrix, branch number 4 — the
-    /// intermediate point of the §7 size adaptation.
+    /// A 3×3 (24-bit) lightweight MDS matrix `circ(1, 1, α)`, branch
+    /// number 4 — the intermediate point of the §7 size adaptation.
     Lightweight24,
 }
 
+/// Entry tables of the baked lightweight circulants, as coefficient masks
+/// of polynomials in `α` over `X⁸ + X² + 1`. The minimal-XOR search in this
+/// module's tests re-derives exactly these.
+const SCFI_LIGHTWEIGHT: [u64; 4] = [0b1, 0b1, 0b10, 0b1000]; // circ(1, 1, α, α³)
+const LIGHTWEIGHT_24: [u64; 3] = [0b1, 0b1, 0b10]; // circ(1, 1, α)
+const LIGHTWEIGHT_16: [u64; 2] = [0b1, 0b10]; // circ(1, α)
+
 impl MdsSpec {
-    /// Builds (and caches) the verified matrix for this spec.
+    /// The verified matrix for this spec, built once per process.
     ///
-    /// The first call per spec performs the construction/search and the
-    /// block-minor MDS verification; later calls return a cached clone.
-    pub fn build(self) -> MdsMatrix {
+    /// The first call per spec expands the constant entry table and runs
+    /// the block-minor MDS verification (a failed check panics); later
+    /// calls return the same `&'static` matrix.
+    pub fn build(self) -> &'static MdsMatrix {
         static SCFI: OnceLock<MdsMatrix> = OnceLock::new();
         static AES: OnceLock<MdsMatrix> = OnceLock::new();
         static W16: OnceLock<MdsMatrix> = OnceLock::new();
         static W24: OnceLock<MdsMatrix> = OnceLock::new();
         match self {
-            MdsSpec::ScfiLightweight => SCFI.get_or_init(|| build_lightweight(4)).clone(),
-            MdsSpec::AesMixColumns => AES.get_or_init(build_aes).clone(),
-            MdsSpec::Lightweight16 => W16.get_or_init(|| build_lightweight(2)).clone(),
-            MdsSpec::Lightweight24 => W24.get_or_init(|| build_lightweight(3)).clone(),
+            MdsSpec::ScfiLightweight => SCFI.get_or_init(|| build_baked(&SCFI_LIGHTWEIGHT)),
+            MdsSpec::AesMixColumns => AES.get_or_init(build_aes),
+            MdsSpec::Lightweight16 => W16.get_or_init(|| build_baked(&LIGHTWEIGHT_16)),
+            MdsSpec::Lightweight24 => W24.get_or_init(|| build_baked(&LIGHTWEIGHT_24)),
         }
     }
 
@@ -104,6 +114,8 @@ pub struct MdsMatrix {
     name: String,
     block: BlockMatrix,
     expanded: BitMatrix,
+    naive: OnceLock<XorProgram>,
+    paar: OnceLock<XorProgram>,
 }
 
 impl MdsMatrix {
@@ -113,6 +125,8 @@ impl MdsMatrix {
             name: name.into(),
             block,
             expanded,
+            naive: OnceLock::new(),
+            paar: OnceLock::new(),
         }
     }
 
@@ -145,9 +159,14 @@ impl MdsMatrix {
         self.expanded.mul_vec(x)
     }
 
-    /// Lowers the matrix to a straight-line XOR program.
-    pub fn xor_program(&self, strategy: Lowering) -> XorProgram {
-        XorProgram::lower(&self.expanded, strategy)
+    /// The matrix lowered to a straight-line XOR program, computed on the
+    /// first call per strategy and cached on the matrix.
+    pub fn xor_program(&self, strategy: Lowering) -> &XorProgram {
+        let cell = match strategy {
+            Lowering::Naive => &self.naive,
+            Lowering::Paar => &self.paar,
+        };
+        cell.get_or_init(|| XorProgram::lower(&self.expanded, strategy))
     }
 
     /// Number of XOR gates under the given lowering — the paper's area
@@ -184,80 +203,28 @@ fn build_aes() -> MdsMatrix {
     m
 }
 
-/// Builds a `k × k` lightweight matrix over the paper's ring by
-/// deterministic search: rank candidate entry tuples by expanded XOR
-/// density, return the first circulant (then Hadamard, for k = 4)
-/// candidate that passes the exact MDS check.
-fn build_lightweight(k: usize) -> MdsMatrix {
-    let alpha = Gf2Poly::from_coeffs(0x105).companion_matrix(); // X^8 + X^2 + 1
+/// `α` over the paper's ring `F₂[α]/(X⁸ + X² + 1)`, as its companion matrix.
+fn scfi_alpha() -> BitMatrix {
+    Gf2Poly::from_coeffs(0x105).companion_matrix()
+}
 
-    // Low-XOR-cost polynomial entries in α, cheapest first. Cost of p(α) as
-    // a linear map is roughly count_ones(p(α)) − 8 XORs.
-    let pool: Vec<Gf2Poly> = vec![
-        Gf2Poly::ONE,
-        Gf2Poly::X,
-        Gf2Poly::from_coeffs(0b100),  // α²
-        Gf2Poly::from_coeffs(0b11),   // 1 + α
-        Gf2Poly::from_coeffs(0b101),  // 1 + α²
-        Gf2Poly::from_coeffs(0b110),  // α + α²
-        Gf2Poly::from_coeffs(0b1000), // α³
-        Gf2Poly::from_coeffs(0b1001), // 1 + α³
-    ];
+/// Builds a baked lightweight circulant from its entry table and verifies
+/// it MDS.
+fn build_baked(coeffs: &[u64]) -> MdsMatrix {
+    let entries: Vec<Gf2Poly> = coeffs.iter().map(|&c| Gf2Poly::from_coeffs(c)).collect();
+    let m = lightweight("circulant", &entries, circulant(&scfi_alpha(), &entries));
+    assert!(m.block.is_mds(), "{} failed the MDS check", m.name);
+    m
+}
 
-    // All entry tuples of length k over the pool.
-    let mut tuples: Vec<Vec<Gf2Poly>> = vec![Vec::new()];
-    for _ in 0..k {
-        tuples = tuples
-            .into_iter()
-            .flat_map(|t| {
-                pool.iter().map(move |&p| {
-                    let mut t = t.clone();
-                    t.push(p);
-                    t
-                })
-            })
-            .collect();
-    }
-    let mut candidates: Vec<(usize, &'static str, Vec<Gf2Poly>)> = Vec::new();
-    for entries in tuples {
-        let cost: usize = entries
-            .iter()
-            .map(|p| p.eval_matrix(&alpha).count_ones())
-            .sum();
-        candidates.push((cost, "circulant", entries.clone()));
-        if k == 4 {
-            candidates.push((cost, "hadamard", entries));
-        }
-    }
-    // Deterministic order: by cost, then shape, then entry tuple.
-    candidates.sort_by_key(|(cost, shape, e)| {
-        (
-            *cost,
-            *shape,
-            e.iter().map(|p| p.coeffs()).collect::<Vec<_>>(),
-        )
-    });
-
-    for (_, shape, entries) in candidates {
-        let block = match shape {
-            "circulant" => circulant(&alpha, &entries),
-            _ => hadamard(&alpha, &entries),
-        };
-        if block.is_mds() {
-            let name = format!(
-                "lightweight-{}x{}-{shape}({})",
-                k,
-                k,
-                entries
-                    .iter()
-                    .map(|p| format!("{p}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            return MdsMatrix::new(name, block);
-        }
-    }
-    unreachable!("no MDS matrix found in candidate pool — pool is known to contain MDS matrices")
+/// Names a lightweight matrix by its shape and entry tuple.
+fn lightweight(shape: &str, entries: &[Gf2Poly], block: BlockMatrix) -> MdsMatrix {
+    let k = entries.len();
+    let entries: Vec<String> = entries.iter().map(|p| p.to_string()).collect();
+    MdsMatrix::new(
+        format!("lightweight-{k}x{k}-{shape}({})", entries.join(", ")),
+        block,
+    )
 }
 
 /// Circulant block matrix: row `i`, column `j` holds
@@ -274,26 +241,138 @@ fn circulant(alpha: &BitMatrix, entries: &[Gf2Poly]) -> BlockMatrix {
     BlockMatrix::from_blocks(k, 8, blocks)
 }
 
-/// Hadamard block matrix (`k` a power of two): `M[i][j] = entries[i XOR j]`.
-fn hadamard(alpha: &BitMatrix, entries: &[Gf2Poly]) -> BlockMatrix {
-    let k = entries.len();
-    assert!(
-        k.is_power_of_two(),
-        "Hadamard layout needs a power-of-two k"
-    );
-    let maps: Vec<BitMatrix> = entries.iter().map(|p| p.eval_matrix(alpha)).collect();
-    let mut blocks = Vec::with_capacity(k * k);
-    for r in 0..k {
-        for c in 0..k {
-            blocks.push(maps[r ^ c].clone());
-        }
-    }
-    BlockMatrix::from_blocks(k, 8, blocks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The deterministic minimal-XOR search that selected the baked
+    /// tables: rank candidate entry tuples by expanded XOR density, return
+    /// the first circulant (then Hadamard, for k = 4) candidate that passes
+    /// the exact MDS check.
+    fn build_lightweight(k: usize) -> MdsMatrix {
+        let alpha = scfi_alpha();
+
+        // Low-XOR-cost polynomial entries in α, cheapest first. Cost of
+        // p(α) as a linear map is roughly count_ones(p(α)) − 8 XORs.
+        let pool: Vec<Gf2Poly> = vec![
+            Gf2Poly::ONE,
+            Gf2Poly::X,
+            Gf2Poly::from_coeffs(0b100),  // α²
+            Gf2Poly::from_coeffs(0b11),   // 1 + α
+            Gf2Poly::from_coeffs(0b101),  // 1 + α²
+            Gf2Poly::from_coeffs(0b110),  // α + α²
+            Gf2Poly::from_coeffs(0b1000), // α³
+            Gf2Poly::from_coeffs(0b1001), // 1 + α³
+        ];
+
+        // All entry tuples of length k over the pool.
+        let mut tuples: Vec<Vec<Gf2Poly>> = vec![Vec::new()];
+        for _ in 0..k {
+            tuples = tuples
+                .into_iter()
+                .flat_map(|t| {
+                    pool.iter().map(move |&p| {
+                        let mut t = t.clone();
+                        t.push(p);
+                        t
+                    })
+                })
+                .collect();
+        }
+        let mut candidates: Vec<(usize, &'static str, Vec<Gf2Poly>)> = Vec::new();
+        for entries in tuples {
+            let cost: usize = entries
+                .iter()
+                .map(|p| p.eval_matrix(&alpha).count_ones())
+                .sum();
+            candidates.push((cost, "circulant", entries.clone()));
+            if k == 4 {
+                candidates.push((cost, "hadamard", entries));
+            }
+        }
+        // Deterministic order: by cost, then shape, then entry tuple.
+        candidates.sort_by_key(|(cost, shape, e)| {
+            (
+                *cost,
+                *shape,
+                e.iter().map(|p| p.coeffs()).collect::<Vec<_>>(),
+            )
+        });
+
+        for (_, shape, entries) in candidates {
+            let block = match shape {
+                "circulant" => circulant(&alpha, &entries),
+                _ => hadamard(&alpha, &entries),
+            };
+            if block.is_mds() {
+                return lightweight(shape, &entries, block);
+            }
+        }
+        unreachable!(
+            "no MDS matrix found in candidate pool — pool is known to contain MDS matrices"
+        )
+    }
+
+    /// Hadamard block matrix (`k` a power of two): `M[i][j] = entries[i XOR j]`.
+    fn hadamard(alpha: &BitMatrix, entries: &[Gf2Poly]) -> BlockMatrix {
+        let k = entries.len();
+        assert!(
+            k.is_power_of_two(),
+            "Hadamard layout needs a power-of-two k"
+        );
+        let maps: Vec<BitMatrix> = entries.iter().map(|p| p.eval_matrix(alpha)).collect();
+        let mut blocks = Vec::with_capacity(k * k);
+        for r in 0..k {
+            for c in 0..k {
+                blocks.push(maps[r ^ c].clone());
+            }
+        }
+        BlockMatrix::from_blocks(k, 8, blocks)
+    }
+
+    const ALL_SPECS: [MdsSpec; 4] = [
+        MdsSpec::ScfiLightweight,
+        MdsSpec::AesMixColumns,
+        MdsSpec::Lightweight16,
+        MdsSpec::Lightweight24,
+    ];
+
+    #[test]
+    fn search_rederives_the_baked_tables() {
+        for (spec, k) in [
+            (MdsSpec::ScfiLightweight, 4),
+            (MdsSpec::Lightweight24, 3),
+            (MdsSpec::Lightweight16, 2),
+        ] {
+            let searched = build_lightweight(k);
+            let baked = spec.build();
+            assert_eq!(searched.name(), baked.name(), "{spec}");
+            assert_eq!(searched.matrix(), baked.matrix(), "{spec}");
+            assert_eq!(
+                searched.block().branch_number_single_symbol(),
+                baked.block().branch_number_single_symbol(),
+                "{spec}"
+            );
+        }
+        assert_eq!(
+            MdsSpec::ScfiLightweight.build().name(),
+            "lightweight-4x4-circulant(1, 1, X, X^3)"
+        );
+    }
+
+    #[test]
+    fn memoized_xor_program_matches_a_fresh_lowering() {
+        for spec in ALL_SPECS {
+            let m = spec.build();
+            for strategy in [Lowering::Naive, Lowering::Paar] {
+                let fresh = XorProgram::lower(m.matrix(), strategy);
+                let cached = m.xor_program(strategy);
+                assert_eq!(cached.ops(), fresh.ops(), "{spec} {strategy:?}");
+                assert_eq!(cached.outputs(), fresh.outputs(), "{spec} {strategy:?}");
+                assert!(std::ptr::eq(cached, m.xor_program(strategy)));
+            }
+        }
+    }
 
     #[test]
     fn aes_build_is_mds_and_32_bit() {
@@ -306,7 +385,7 @@ mod tests {
     #[test]
     fn scfi_lightweight_is_mds() {
         let m = MdsSpec::ScfiLightweight.build();
-        assert!(m.block().is_mds(), "searched matrix must verify as MDS");
+        assert!(m.block().is_mds(), "baked matrix must verify as MDS");
         assert_eq!(m.width(), 32);
         assert!(m.matrix().is_invertible());
     }
@@ -317,7 +396,7 @@ mod tests {
         let aes = MdsSpec::AesMixColumns.build();
         assert!(
             scfi.xor_count(Lowering::Naive) <= aes.xor_count(Lowering::Naive),
-            "search should not return something heavier than AES: {} vs {}",
+            "the lightweight matrix must not be heavier than AES: {} vs {}",
             scfi.xor_count(Lowering::Naive),
             aes.xor_count(Lowering::Naive)
         );
@@ -358,10 +437,9 @@ mod tests {
 
     #[test]
     fn build_is_cached_and_deterministic() {
-        let a = MdsSpec::ScfiLightweight.build();
-        let b = MdsSpec::ScfiLightweight.build();
-        assert_eq!(a.name(), b.name());
-        assert_eq!(a.matrix(), b.matrix());
+        for spec in ALL_SPECS {
+            assert!(std::ptr::eq(spec.build(), spec.build()), "{spec}");
+        }
     }
 
     #[test]
@@ -411,12 +489,7 @@ mod tests {
 
     #[test]
     fn spec_metadata_is_consistent() {
-        for spec in [
-            MdsSpec::ScfiLightweight,
-            MdsSpec::AesMixColumns,
-            MdsSpec::Lightweight16,
-            MdsSpec::Lightweight24,
-        ] {
+        for spec in ALL_SPECS {
             let m = spec.build();
             assert_eq!(m.width(), spec.width(), "{spec}");
             assert_eq!(

@@ -16,10 +16,14 @@
 //!   program, either naively (balanced trees per output) or with Paar-style
 //!   greedy common-subexpression elimination,
 //! * [`MdsMatrix`] / [`MdsSpec`] — concrete verified constructions: a
-//!   lightweight matrix searched over the paper's ring `F₂[α]`,
-//!   `α: X⁸ + X² + 1` (substituting for Duval–Leurent's `M^{8,3}_{4,6}`,
-//!   whose exact entries the SCFI paper does not reproduce), and the AES
-//!   MixColumns matrix over `GF(2⁸)/0x11B` as a provably-MDS reference.
+//!   lightweight matrix over the paper's ring `F₂[α]`, `α: X⁸ + X² + 1`
+//!   (substituting for Duval–Leurent's `M^{8,3}_{4,6}`, whose exact entries
+//!   the SCFI paper does not reproduce), and the AES MixColumns matrix over
+//!   `GF(2⁸)/0x11B` as a provably-MDS reference. The lightweight matrices
+//!   are baked entry tables: a unit test re-runs the minimal-XOR search
+//!   that selected them, and each is verified MDS on its first build in a
+//!   process, which hands out one `&'static` matrix per spec with its XOR
+//!   lowerings cached.
 //!
 //! # Example
 //!
