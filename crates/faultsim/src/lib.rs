@@ -93,6 +93,7 @@ mod backend;
 mod campaign;
 mod control;
 mod oracle;
+mod scheme;
 mod target;
 mod vulnerability;
 mod wave;
@@ -105,12 +106,14 @@ pub use campaign::{
 };
 pub use control::{CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
 pub use oracle::{AlertModel, WaveOracle};
+pub use scheme::{CodedScheme, ProtectionScheme};
 pub use target::{
     adversarial_walks, fuzzed_protocol_scenarios, protocol_scenarios, FaultSchedule, FaultTarget,
-    FaultTiming, ProtocolScenario, RedundancyTarget, Scenario, ScfiTarget, UnprotectedTarget,
+    FaultTiming, ProtocolScenario, RedundancyTarget, Scenario, ScfiTarget, SchemeTarget,
+    UnprotectedTarget,
 };
 pub use vulnerability::{SiteStats, VulnerabilityMap};
-pub use wave::WorkList;
+pub use wave::{panic_message, WorkList};
 
 use scfi_core::HardenedFsm;
 

@@ -10,11 +10,17 @@
 //! classifies **whole 64-lane words at a time** with bitwise logic on the
 //! packed register/output words, never extracting a lane.
 //!
-//! The oracle is an exact reimplementation of the targets' scalar
-//! classification — `detected`/`hijack` lane masks are derived from the
-//! same decode rules, so verdicts are bit-for-bit those of the scalar
-//! reference. The differential suites (packed vs. scalar, every width,
-//! every Table-1 FSM) pin this equivalence.
+//! The oracle is also the one *description* of a scheme's detection
+//! semantics: every [`ProtectionScheme`](crate::ProtectionScheme)
+//! publishes one, the wave executor grades packed words with it, and the
+//! certifier builds its symbolic and concrete "undetected" predicates
+//! from the same codebook and alert structure. It must agree with the
+//! scheme's hand-written scalar
+//! [`classify_landing`](crate::ProtectionScheme::classify_landing); the
+//! differential suites (packed vs. scalar, every width, every Table-1
+//! FSM) and the scheme-consistency test pin this equivalence.
+
+use std::ops::Range;
 
 /// How a target's detection lines are read from the sampled output words.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,6 +105,58 @@ impl WaveOracle {
         self.codewords[0].len()
     }
 
+    /// The codebook: `codewords()[s]` is state `s`'s register codeword
+    /// over the decode window.
+    pub fn codewords(&self) -> &[Vec<bool>] {
+        &self.codewords
+    }
+
+    /// Whether the all-zero decode window is the detected ERROR word.
+    pub fn zero_is_error(&self) -> bool {
+        self.zero_is_error
+    }
+
+    /// Whether a decode window matching no codeword is detected.
+    pub fn invalid_is_detected(&self) -> bool {
+        self.invalid_is_detected
+    }
+
+    /// Register bits per replica bank, when every bank must agree with
+    /// bank 0 for the register file to pass undetected.
+    pub fn replica_bank_bits(&self) -> Option<usize> {
+        match self.alert {
+            AlertModel::BankMismatch { state_bits } => Some(state_bits),
+            _ => None,
+        }
+    }
+
+    /// The output ports (of a module with `outputs` ports) whose
+    /// assertion is an alert.
+    pub fn alert_ports(&self, outputs: usize) -> Range<usize> {
+        match self.alert {
+            AlertModel::None => outputs..outputs,
+            AlertModel::LastTwoOutputs => outputs - 2..outputs,
+            AlertModel::BankMismatch { .. } => outputs - 1..outputs,
+        }
+    }
+
+    /// The decode-level verdict on one concrete post-step register file:
+    /// `true` when decoding would not flag it — replica banks agree, and
+    /// (per the flags) the decode window is neither the zero word nor a
+    /// non-codeword. Alert lines are not consulted.
+    pub fn undetected(&self, regs: &[bool]) -> bool {
+        if let Some(sb) = self.replica_bank_bits() {
+            if regs.chunks(sb).skip(1).any(|bank| bank != &regs[..sb]) {
+                return false;
+            }
+        }
+        let window = &regs[..self.decode_width()];
+        if self.zero_is_error && window.iter().all(|&bit| !bit) {
+            return false;
+        }
+        !self.invalid_is_detected || self.codewords.iter().any(|cw| cw == window)
+    }
+
     /// Lanes of `word` whose decode-window registers equal `pattern`.
     fn eq_word<const W: usize>(pattern: &[bool], word: usize, regs: &[[u64; W]]) -> u64 {
         let mut acc = !0u64;
@@ -119,27 +177,22 @@ impl WaveOracle {
         regs: &[[u64; W]],
         outputs: &[[u64; W]],
     ) -> u64 {
-        let mut detected = match self.alert {
-            AlertModel::None => 0,
-            AlertModel::LastTwoOutputs => {
-                let n = outputs.len();
-                outputs[n - 2][word] | outputs[n - 1][word]
+        let mut detected = 0u64;
+        for port in self.alert_ports(outputs.len()) {
+            detected |= outputs[port][word];
+        }
+        if let Some(state_bits) = self.replica_bank_bits() {
+            // A ragged register file (not a whole number of banks)
+            // compares unequal in the scalar reference; keep that.
+            if !regs.len().is_multiple_of(state_bits) {
+                detected = !0;
             }
-            AlertModel::BankMismatch { state_bits } => {
-                let mut m = outputs[outputs.len() - 1][word];
-                // A ragged register file (not a whole number of banks)
-                // compares unequal in the scalar reference; keep that.
-                if !regs.len().is_multiple_of(state_bits) {
-                    m = !0;
+            for bank in 1..regs.len() / state_bits {
+                for i in 0..state_bits {
+                    detected |= regs[bank * state_bits + i][word] ^ regs[i][word];
                 }
-                for bank in 1..regs.len() / state_bits {
-                    for i in 0..state_bits {
-                        m |= regs[bank * state_bits + i][word] ^ regs[i][word];
-                    }
-                }
-                m
             }
-        };
+        }
         if self.zero_is_error {
             let mut zero = !0u64;
             for reg in regs.iter().take(self.decode_width()) {

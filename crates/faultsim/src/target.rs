@@ -1,4 +1,6 @@
-//! Fault-campaign targets: the three §6.1 configurations behind one trait.
+//! Fault-campaign targets: the three §6.1 configurations behind one trait,
+//! all built from their [`ProtectionScheme`] by one generic
+//! [`SchemeTarget`].
 //!
 //! Since the multi-cycle generalization, a *scenario* is no longer one CFG
 //! edge but an N-cycle [`Scenario`]: a register preload, a per-cycle input
@@ -9,12 +11,13 @@
 //! sequences such as a secure-boot handshake — with a fault glitching one
 //! step and the classification judging the *whole trajectory*.
 
-use scfi_core::{HardenedFsm, RedundantFsm, StateDecode};
-use scfi_fsm::{Cfg, Fsm, LoweredFsm, StateId};
+use scfi_core::{HardenedFsm, RedundantFsm};
+use scfi_fsm::{Cfg, Fsm, LoweredFsm};
 use scfi_netlist::Module;
 
 use crate::campaign::Outcome;
-use crate::oracle::{AlertModel, WaveOracle};
+use crate::oracle::WaveOracle;
+use crate::scheme::{CodedScheme, ProtectionScheme};
 
 /// When during a scenario's cycle schedule the injected faults are armed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -110,16 +113,20 @@ pub struct Scenario {
     pub inputs: Vec<Vec<bool>>,
     /// The per-fault arming windows within the schedule.
     pub schedule: FaultSchedule,
+    /// The fault-free landing state (as a [`WaveOracle`] codebook index)
+    /// after each cycle; empty for targets without a word oracle.
+    pub landings: Vec<usize>,
 }
 
 impl Scenario {
     /// The single-transition scenario of the paper's §6.4 experiment: one
-    /// cycle, faults armed throughout.
+    /// cycle, faults armed throughout, no landing states recorded.
     pub fn single(regs: Vec<bool>, inputs: Vec<bool>) -> Self {
         Scenario {
             regs,
             inputs: vec![inputs],
             schedule: FaultSchedule::Uniform(FaultTiming::Permanent),
+            landings: Vec::new(),
         }
     }
 
@@ -312,51 +319,286 @@ pub trait FaultTarget: Sync {
     /// per-lane extraction + `classify` fallback, which is correct for
     /// every target, just slower.
     ///
-    /// Contract: at every scenario cycle the oracle's verdicts must equal
-    /// `classify`'s on the same post-step registers and outputs, with
-    /// [`FaultTarget::expected_state`] naming the cycle's fault-free
-    /// landing state. The differential suites pin this against the scalar
+    /// Contract: every scenario carries one [`Scenario::landings`] entry
+    /// per cycle, and at every cycle the oracle's verdicts against that
+    /// landing state equal `classify`'s on the same post-step registers
+    /// and outputs. The differential suites pin this against the scalar
     /// engine on every Table-1 FSM.
     fn wave_oracle(&self) -> Option<WaveOracle> {
         None
     }
-
-    /// The codebook index (in [`FaultTarget::wave_oracle`]'s codeword
-    /// order) of the fault-free landing state after `cycle` of scenario
-    /// `index`. Only consulted when `wave_oracle` returns an oracle.
-    fn expected_state(&self, index: usize, cycle: usize) -> usize {
-        let _ = (index, cycle);
-        unimplemented!("targets providing a wave_oracle must implement expected_state")
-    }
 }
 
-/// Shared scenario-space bookkeeping behind the three targets: either the
-/// single-transition space (scenario `i` = one CFG edge) or a validated
-/// protocol space of multi-cycle walks. Centralizes the index → edge
-/// resolution and the [`Scenario`] assembly, so the targets differ only
-/// in how they encode register preloads and per-edge input vectors — and
-/// a future timing extension lands in one place, not three.
-#[derive(Clone, Debug)]
-struct ScenarioSpace {
+/// The campaign target of one [`ProtectionScheme`]: the scheme's module,
+/// register preloads, detection oracle and scalar classification over a
+/// scenario space of CFG edges.
+///
+/// The single-transition space has one scenario per *drivable* edge; a
+/// protocol space holds validated multi-cycle walks. The coded schemes
+/// ([`ScfiTarget`], [`RedundancyTarget`]) drive every edge with its
+/// condition codeword; [`UnprotectedTarget`] enumerates raw input
+/// valuations and keeps only the edges some valuation takes.
+#[derive(Debug)]
+pub struct SchemeTarget<'a, S> {
+    scheme: &'a S,
+    cfg: Cfg,
+    /// The input word driving each CFG edge; `None` for edges no input
+    /// valuation can drive.
+    edge_inputs: Vec<Option<Vec<bool>>>,
+    /// Drivable edges in ascending order — the single-transition scenario
+    /// space.
+    drivable: Vec<usize>,
     /// `None` = the single-transition §6.4 space.
     protocol: Option<Vec<ProtocolScenario>>,
 }
 
-impl ScenarioSpace {
-    fn single_transition() -> Self {
-        ScenarioSpace { protocol: None }
+/// Campaign target for an SCFI-hardened FSM.
+///
+/// Detection = terminal ERROR, an invalid (non-codeword) register state
+/// (which collapses to ERROR on the next edge), or an asserted alert — at
+/// *any* cycle of the trajectory.
+pub type ScfiTarget<'a> = SchemeTarget<'a, HardenedFsm>;
+
+/// Campaign target for the redundancy baseline.
+///
+/// Detection = the register-mismatch alert. An undetected landing in any
+/// state other than the cycle's expected state — including out-of-range
+/// binary codes — is a hijack.
+pub type RedundancyTarget<'a> = SchemeTarget<'a, RedundantFsm>;
+
+/// Campaign target for a plain unprotected FSM netlist: no detection
+/// mechanism exists, so every wrong landing is a hijack.
+pub type UnprotectedTarget<'a> = SchemeTarget<'a, LoweredFsm>;
+
+impl<'a, S: CodedScheme> SchemeTarget<'a, S> {
+    /// Wraps a coded scheme with the single-transition scenario space (one
+    /// scenario per CFG edge, driven by its condition codeword).
+    pub fn new(scheme: &'a S) -> Self {
+        let words = scheme
+            .condition_words()
+            .expect("coded schemes drive condition codewords");
+        let cfg = scheme.cfg().clone();
+        let edge_inputs = cfg
+            .edges()
+            .iter()
+            .map(|e| Some(words[e.local_index(scheme.fsm())].clone()))
+            .collect();
+        SchemeTarget {
+            scheme,
+            drivable: (0..cfg.edges().len()).collect(),
+            cfg,
+            edge_inputs,
+            protocol: None,
+        }
     }
 
-    /// A protocol space; panics if a walk is empty, disconnected, times
-    /// any fault window past the walk's end, or overrides its inputs with
-    /// a schedule of the wrong length.
-    fn protocol(cfg: &Cfg, scenarios: Vec<ProtocolScenario>) -> Self {
+    /// Multi-cycle protocol target: seeded random CFG walks of `depth`
+    /// transitions, one transient injection scenario per walk step (see
+    /// [`protocol_scenarios`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero.
+    pub fn with_protocol(scheme: &'a S, depth: usize, seed: u64) -> Self {
+        let target = Self::new(scheme);
+        let scenarios = protocol_scenarios(&target.cfg, depth, seed);
+        target.with_protocol_space(scenarios)
+    }
+
+    /// Adversarially fuzzed multi-cycle target: walks biased toward
+    /// wrong-but-close condition codewords (see [`adversarial_walks`]),
+    /// so consecutive steps drive condition words a small glitch is most
+    /// likely to confuse. Every driven word stays a valid codeword — the
+    /// §5 interface assumption (and with it the certification
+    /// cross-oracle) is preserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero.
+    pub fn with_fuzzed_protocol(scheme: &'a S, depth: usize, seed: u64) -> Self {
+        let target = Self::new(scheme);
+        let scenarios =
+            fuzzed_protocol_scenarios(&target.cfg, depth, seed, |ei| target.edge_input(ei));
+        target.with_protocol_space(scenarios)
+    }
+
+    /// Multi-cycle target over hand-picked protocol scenarios.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a walk is empty, disconnected, or times its fault window
+    /// past the walk's end.
+    pub fn with_scenarios(scheme: &'a S, scenarios: Vec<ProtocolScenario>) -> Self {
+        Self::new(scheme).with_protocol_space(scenarios)
+    }
+}
+
+impl<'a> SchemeTarget<'a, LoweredFsm> {
+    /// Most control signals whose valuations [`UnprotectedTarget::new`]
+    /// enumerates (2^20 input words).
+    pub const MAX_SIGNALS: usize = 20;
+
+    /// Input valuations sampled per edge by
+    /// [`with_fuzzed_protocol`](Self::with_fuzzed_protocol).
+    pub const INPUT_VARIANTS: usize = 8;
+
+    /// Builds the scenario list: one representative raw-input vector per
+    /// reachable CFG edge (found by enumerating input valuations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FSM has more than [`Self::MAX_SIGNALS`] control
+    /// signals (enumeration guard).
+    pub fn new(fsm: &Fsm, lowered: &'a LoweredFsm) -> Self {
+        let cfg = fsm.cfg();
+        let mut edge_inputs = vec![None; cfg.edges().len()];
+        for_each_valuation(fsm, &cfg, |ei, inputs| {
+            if edge_inputs[ei].is_none() {
+                edge_inputs[ei] = Some(inputs.to_vec());
+            }
+        });
+        let drivable = (0..cfg.edges().len())
+            .filter(|&ei| edge_inputs[ei].is_some())
+            .collect();
+        SchemeTarget {
+            scheme: lowered,
+            cfg,
+            edge_inputs,
+            drivable,
+            protocol: None,
+        }
+    }
+
+    /// Multi-cycle protocol target: seeded random walks over the *drivable*
+    /// edges only (an edge no input valuation can take cannot appear in a
+    /// concrete input schedule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero (and inherits [`UnprotectedTarget::new`]'s
+    /// signal-count guard).
+    pub fn with_protocol(fsm: &Fsm, lowered: &'a LoweredFsm, depth: usize, seed: u64) -> Self {
+        let target = Self::new(fsm, lowered);
+        let walks = target.drivable_walks(depth, seed);
+        target.with_protocol_space(expand_walks(walks))
+    }
+
+    /// Adversarially fuzzed multi-cycle target: the same drivable random
+    /// walks as [`with_protocol`](Self::with_protocol), but every cycle of
+    /// every scenario samples its raw input word from *all* valuations
+    /// driving that edge (up to [`Self::INPUT_VARIANTS`] per edge) instead
+    /// of reusing the one on-walk representative — the attacker's free
+    /// choice of inputs from §3, restricted to words that keep the walk on
+    /// its edge sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero (and inherits [`UnprotectedTarget::new`]'s
+    /// signal-count guard).
+    pub fn with_fuzzed_protocol(
+        fsm: &Fsm,
+        lowered: &'a LoweredFsm,
+        depth: usize,
+        seed: u64,
+    ) -> Self {
+        let target = Self::new(fsm, lowered);
+        // Every admissible valuation per edge, capped per edge: the same
+        // enumeration as `new`, kept instead of first-hit-only.
+        let mut variants: Vec<Vec<Vec<bool>>> = vec![Vec::new(); target.cfg.edges().len()];
+        for_each_valuation(fsm, &target.cfg, |ei, inputs| {
+            if variants[ei].len() < Self::INPUT_VARIANTS {
+                variants[ei].push(inputs.to_vec());
+            }
+        });
+        let mut next = xorshift64star(seed ^ 0xF0_22_1E);
+        let mut scenarios = expand_walks(target.drivable_walks(depth, seed));
+        for s in &mut scenarios {
+            let fuzzed = s.edges.iter().map(|&ei| {
+                let pool = &variants[ei];
+                pool[(next() % pool.len() as u64) as usize].clone()
+            });
+            s.inputs = Some(fuzzed.collect());
+        }
+        target.with_protocol_space(scenarios)
+    }
+
+    /// Multi-cycle target over hand-picked protocol scenarios. Every walk
+    /// edge must be drivable (see
+    /// [`SchemeTarget::scenario_edge_is_drivable`]) — an edge no input
+    /// valuation can take has no concrete input vector to schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a walk is empty, disconnected, times its fault window past
+    /// the walk's end, or uses an undrivable edge.
+    pub fn with_scenarios(
+        fsm: &Fsm,
+        lowered: &'a LoweredFsm,
+        scenarios: Vec<ProtocolScenario>,
+    ) -> Self {
+        Self::new(fsm, lowered).with_protocol_space(scenarios)
+    }
+
+    fn drivable_walks(&self, depth: usize, seed: u64) -> Vec<Vec<usize>> {
+        self.cfg
+            .random_walks_where(depth, seed, |ei| self.scenario_edge_is_drivable(ei))
+    }
+}
+
+/// Calls `visit(edge, inputs)` for every raw input valuation of `fsm`
+/// (in ascending binary order) and every state, with the CFG edge that
+/// valuation takes from that state.
+fn for_each_valuation(fsm: &Fsm, cfg: &Cfg, mut visit: impl FnMut(usize, &[bool])) {
+    let n = fsm.signals().len();
+    assert!(
+        n <= UnprotectedTarget::MAX_SIGNALS,
+        "too many signals to enumerate scenarios ({n} > {})",
+        UnprotectedTarget::MAX_SIGNALS
+    );
+    for bits in 0..(1u64 << n) {
+        let inputs: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
+        for s in fsm.states() {
+            visit(cfg.matched_edge(s, &inputs), &inputs);
+        }
+    }
+}
+
+impl<'a, S> SchemeTarget<'a, S> {
+    /// The control-flow graph whose edges index the scenario space.
+    pub fn cfg(&self) -> &Cfg {
+        &self.cfg
+    }
+
+    /// Whether some input word takes CFG edge `ei` — i.e. whether the
+    /// edge can appear in a concrete protocol schedule. Always true for
+    /// the coded schemes.
+    pub fn scenario_edge_is_drivable(&self, ei: usize) -> bool {
+        self.edge_inputs[ei].is_some()
+    }
+
+    fn edge_input(&self, ei: usize) -> Vec<bool> {
+        self.edge_inputs[ei]
+            .clone()
+            .expect("scenario edges are drivable by construction")
+    }
+
+    /// Switches to a protocol space; panics if a walk uses an undrivable
+    /// edge, is empty or disconnected, times any fault window past the
+    /// walk's end, or overrides its inputs with a schedule of the wrong
+    /// length.
+    fn with_protocol_space(mut self, scenarios: Vec<ProtocolScenario>) -> Self {
         for (i, s) in scenarios.iter().enumerate() {
+            for &ei in &s.edges {
+                assert!(
+                    self.scenario_edge_is_drivable(ei),
+                    "protocol scenario {i} uses edge {ei}, which no input valuation drives"
+                );
+            }
             assert!(!s.edges.is_empty(), "protocol scenario {i} has no edges");
             for pair in s.edges.windows(2) {
                 assert_eq!(
-                    cfg.edges()[pair[0]].to,
-                    cfg.edges()[pair[1]].from,
+                    self.cfg.edges()[pair[0]].to,
+                    self.cfg.edges()[pair[1]].from,
                     "protocol scenario {i} is not a connected walk"
                 );
             }
@@ -383,570 +625,55 @@ impl ScenarioSpace {
                 );
             }
         }
-        ScenarioSpace {
-            protocol: Some(scenarios),
-        }
+        self.protocol = Some(scenarios);
+        self
     }
 
-    /// Scenario count; `single_count` is the size of the
-    /// single-transition space.
-    fn count(&self, single_count: usize) -> usize {
-        self.protocol.as_ref().map_or(single_count, Vec::len)
-    }
-
-    /// The CFG edge index driven at `cycle` of scenario `index`;
-    /// `single_edge` maps a single-transition scenario index to its edge.
-    fn edge_at(
-        &self,
-        index: usize,
-        cycle: usize,
-        single_edge: impl FnOnce(usize) -> usize,
-    ) -> usize {
+    /// The CFG edges scenario `index` walks (one per cycle).
+    fn walk(&self, index: usize) -> &[usize] {
         match &self.protocol {
-            Some(scenarios) => scenarios[index].edges[cycle],
-            None => {
-                debug_assert_eq!(cycle, 0, "single-transition scenarios have one cycle");
-                single_edge(index)
-            }
-        }
-    }
-
-    /// Assembles the [`Scenario`] at `index`: registers preloaded with the
-    /// first edge's source state, one input vector per walk edge.
-    fn scenario(
-        &self,
-        index: usize,
-        cfg: &Cfg,
-        single_edge: impl Fn(usize) -> usize,
-        regs_of: impl Fn(StateId) -> Vec<bool>,
-        inputs_of: impl Fn(usize) -> Vec<bool>,
-    ) -> Scenario {
-        match &self.protocol {
-            None => {
-                let ei = single_edge(index);
-                Scenario::single(regs_of(cfg.edges()[ei].from), inputs_of(ei))
-            }
-            Some(scenarios) => {
-                let p = &scenarios[index];
-                Scenario {
-                    regs: regs_of(cfg.edges()[p.edges[0]].from),
-                    inputs: match &p.inputs {
-                        Some(fuzzed) => fuzzed.clone(),
-                        None => p.edges.iter().map(|&ei| inputs_of(ei)).collect(),
-                    },
-                    schedule: p.schedule.clone(),
-                }
-            }
+            Some(scenarios) => &scenarios[index].edges,
+            None => std::slice::from_ref(&self.drivable[index]),
         }
     }
 }
 
-/// Campaign target for an SCFI-hardened FSM.
-///
-/// Detection = terminal ERROR, an invalid (non-codeword) register state
-/// (which collapses to ERROR on the next edge), or an asserted alert — at
-/// *any* cycle of the trajectory.
-#[derive(Clone, Debug)]
-pub struct ScfiTarget<'a> {
-    hardened: &'a HardenedFsm,
-    space: ScenarioSpace,
-}
-
-impl<'a> ScfiTarget<'a> {
-    /// Wraps a hardened FSM with the single-transition scenario space (one
-    /// scenario per CFG edge).
-    pub fn new(hardened: &'a HardenedFsm) -> Self {
-        ScfiTarget {
-            hardened,
-            space: ScenarioSpace::single_transition(),
-        }
-    }
-
-    /// Multi-cycle protocol target: seeded random CFG walks of `depth`
-    /// transitions, one transient injection scenario per walk step (see
-    /// [`protocol_scenarios`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_protocol(hardened: &'a HardenedFsm, depth: usize, seed: u64) -> Self {
-        Self::with_scenarios(hardened, protocol_scenarios(hardened.cfg(), depth, seed))
-    }
-
-    /// Adversarially fuzzed multi-cycle target: walks biased toward
-    /// wrong-but-close condition codewords (see [`adversarial_walks`]),
-    /// so consecutive steps drive condition words a small glitch is most
-    /// likely to confuse. Every driven word stays a valid codeword — the
-    /// §5 interface assumption (and with it the certification
-    /// cross-oracle) is preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_fuzzed_protocol(hardened: &'a HardenedFsm, depth: usize, seed: u64) -> Self {
-        let cfg = hardened.cfg();
-        let scenarios = fuzzed_protocol_scenarios(cfg, depth, seed, |ei| {
-            let edge = &cfg.edges()[ei];
-            hardened
-                .condition_word(edge.local_index(hardened.fsm()))
-                .iter()
-                .collect()
-        });
-        Self::with_scenarios(hardened, scenarios)
-    }
-
-    /// Multi-cycle target over hand-picked protocol scenarios.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a walk is empty, disconnected, or times its fault window
-    /// past the walk's end.
-    pub fn with_scenarios(hardened: &'a HardenedFsm, scenarios: Vec<ProtocolScenario>) -> Self {
-        ScfiTarget {
-            hardened,
-            space: ScenarioSpace::protocol(hardened.cfg(), scenarios),
-        }
-    }
-
-    /// The underlying hardened FSM.
-    pub fn hardened(&self) -> &'a HardenedFsm {
-        self.hardened
-    }
-}
-
-impl FaultTarget for ScfiTarget<'_> {
+impl<S: ProtectionScheme> FaultTarget for SchemeTarget<'_, S> {
     fn module(&self) -> &Module {
-        self.hardened.module()
+        self.scheme.module()
     }
 
     fn scenario_count(&self) -> usize {
-        self.space.count(self.hardened.cfg().edges().len())
+        self.protocol.as_ref().map_or(self.drivable.len(), Vec::len)
     }
 
+    /// Registers preloaded with the first edge's source state, one input
+    /// vector and one landing state per walk edge.
     fn scenario(&self, index: usize) -> Scenario {
-        let h = self.hardened;
-        self.space.scenario(
-            index,
-            h.cfg(),
-            |i| i,
-            |s| h.encode_state(s).iter().collect(),
-            |ei| {
-                let edge = &h.cfg().edges()[ei];
-                h.condition_word(edge.local_index(h.fsm())).iter().collect()
+        let walk = self.walk(index);
+        let edges = self.cfg.edges();
+        let (schedule, fuzzed) = match &self.protocol {
+            Some(scenarios) => (scenarios[index].schedule.clone(), &scenarios[index].inputs),
+            None => (FaultSchedule::Uniform(FaultTiming::Permanent), &None),
+        };
+        Scenario {
+            regs: self.scheme.preload(edges[walk[0]].from),
+            inputs: match fuzzed {
+                Some(fuzzed) => fuzzed.clone(),
+                None => walk.iter().map(|&ei| self.edge_input(ei)).collect(),
             },
-        )
+            schedule,
+            landings: walk.iter().map(|&ei| edges[ei].to.0).collect(),
+        }
     }
 
     fn classify(&self, index: usize, cycle: usize, regs: &[bool], outputs: &[bool]) -> Outcome {
-        let ei = self.space.edge_at(index, cycle, |i| i);
-        let to = self.hardened.cfg().edges()[ei].to;
-        let (alert_line, in_error) = self.hardened.alert_lines(outputs);
-        let alert = alert_line || in_error;
-        match self.hardened.decode_registers(regs) {
-            StateDecode::State(s) if s == to && !alert => Outcome::Masked,
-            StateDecode::State(s) if s == to => Outcome::Detected,
-            StateDecode::Error | StateDecode::Invalid => Outcome::Detected,
-            StateDecode::State(_) if alert => Outcome::Detected,
-            StateDecode::State(_) => Outcome::Hijack,
-        }
+        let to = self.cfg.edges()[self.walk(index)[cycle]].to;
+        self.scheme.classify_landing(regs, outputs, to)
     }
 
     fn wave_oracle(&self) -> Option<WaveOracle> {
-        let h = self.hardened;
-        // decode_registers reads the whole register file as the state
-        // codeword; fall back to the scalar path if that ever diverges.
-        if h.state_code().width() != h.module().registers().len() {
-            return None;
-        }
-        let codewords = (0..h.fsm().state_count())
-            .map(|s| h.encode_state(StateId(s)).iter().collect())
-            .collect();
-        // Zero words are terminal ERROR, invalid codewords are caught on
-        // the next edge, and the last two ports are alert/in_error —
-        // exactly the scalar classification above.
-        Some(WaveOracle::new(
-            codewords,
-            true,
-            true,
-            AlertModel::LastTwoOutputs,
-        ))
-    }
-
-    fn expected_state(&self, index: usize, cycle: usize) -> usize {
-        let ei = self.space.edge_at(index, cycle, |i| i);
-        self.hardened.cfg().edges()[ei].to.0
-    }
-}
-
-/// Campaign target for the redundancy baseline.
-///
-/// Detection = the register-mismatch alert. An undetected landing in any
-/// state other than the cycle's expected state — including out-of-range
-/// binary codes — is a hijack.
-#[derive(Clone, Debug)]
-pub struct RedundancyTarget<'a> {
-    redundant: &'a RedundantFsm,
-    space: ScenarioSpace,
-}
-
-impl<'a> RedundancyTarget<'a> {
-    /// Wraps a redundancy-protected FSM (single-transition scenarios).
-    pub fn new(redundant: &'a RedundantFsm) -> Self {
-        RedundancyTarget {
-            redundant,
-            space: ScenarioSpace::single_transition(),
-        }
-    }
-
-    /// Multi-cycle protocol target (see [`ScfiTarget::with_protocol`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_protocol(redundant: &'a RedundantFsm, depth: usize, seed: u64) -> Self {
-        RedundancyTarget {
-            redundant,
-            space: ScenarioSpace::protocol(
-                redundant.cfg(),
-                protocol_scenarios(redundant.cfg(), depth, seed),
-            ),
-        }
-    }
-
-    /// Adversarially fuzzed multi-cycle target (see
-    /// [`ScfiTarget::with_fuzzed_protocol`]): walks biased toward
-    /// close-codeword condition transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_fuzzed_protocol(redundant: &'a RedundantFsm, depth: usize, seed: u64) -> Self {
-        let cfg = redundant.cfg();
-        let scenarios = fuzzed_protocol_scenarios(cfg, depth, seed, |ei| {
-            let edge = &cfg.edges()[ei];
-            redundant
-                .cond_code()
-                .word(edge.local_index(redundant.fsm()))
-                .iter()
-                .collect()
-        });
-        RedundancyTarget {
-            redundant,
-            space: ScenarioSpace::protocol(cfg, scenarios),
-        }
-    }
-
-    /// Multi-cycle target over hand-picked protocol scenarios.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a walk is empty, disconnected, or times its fault window
-    /// past the walk's end.
-    pub fn with_scenarios(redundant: &'a RedundantFsm, scenarios: Vec<ProtocolScenario>) -> Self {
-        RedundancyTarget {
-            redundant,
-            space: ScenarioSpace::protocol(redundant.cfg(), scenarios),
-        }
-    }
-
-    /// The preload for a replica-bank register file holding `state`.
-    fn preload(&self, state: StateId) -> Vec<bool> {
-        let code = scfi_gf2::BitVec::from_u64(state.0 as u64, self.redundant.state_bits());
-        let n_regs = self.redundant.module().registers().len();
-        let replicas = n_regs / self.redundant.state_bits();
-        let mut regs = Vec::with_capacity(n_regs);
-        for _ in 0..replicas {
-            regs.extend(code.iter());
-        }
-        regs
-    }
-}
-
-impl FaultTarget for RedundancyTarget<'_> {
-    fn module(&self) -> &Module {
-        self.redundant.module()
-    }
-
-    fn scenario_count(&self) -> usize {
-        self.space.count(self.redundant.cfg().edges().len())
-    }
-
-    fn scenario(&self, index: usize) -> Scenario {
-        let r = self.redundant;
-        self.space.scenario(
-            index,
-            r.cfg(),
-            |i| i,
-            |s| self.preload(s),
-            |ei| {
-                let edge = &r.cfg().edges()[ei];
-                r.cond_code()
-                    .word(edge.local_index(r.fsm()))
-                    .iter()
-                    .collect()
-            },
-        )
-    }
-
-    fn classify(&self, index: usize, cycle: usize, regs: &[bool], outputs: &[bool]) -> Outcome {
-        let ei = self.space.edge_at(index, cycle, |i| i);
-        let to = self.redundant.cfg().edges()[ei].to;
-        // The mismatch comparator is combinational on the register banks,
-        // so a corruption committed on this edge raises the alert in the
-        // *next* cycle — evaluate it on the post-step banks directly.
-        let sb = self.redundant.state_bits();
-        let mismatch = regs.chunks(sb).skip(1).any(|bank| bank != &regs[..sb]);
-        let alert = outputs[outputs.len() - 1] || mismatch;
-        match self.redundant.decode_registers(regs) {
-            Some(s) if s == to && !alert => Outcome::Masked,
-            _ if alert => Outcome::Detected,
-            _ => Outcome::Hijack,
-        }
-    }
-
-    fn wave_oracle(&self) -> Option<WaveOracle> {
-        let r = self.redundant;
-        let sb = r.state_bits();
-        // Bank 0 (the first state_bits registers) carries the natural
-        // binary code; the alert is the registered mismatch line plus the
-        // combinational replica comparison — the scalar classification
-        // above, word-parallel.
-        let codewords = (0..r.fsm().state_count())
-            .map(|s| scfi_gf2::BitVec::from_u64(s as u64, sb).iter().collect())
-            .collect();
-        Some(WaveOracle::new(
-            codewords,
-            false,
-            false,
-            AlertModel::BankMismatch { state_bits: sb },
-        ))
-    }
-
-    fn expected_state(&self, index: usize, cycle: usize) -> usize {
-        let ei = self.space.edge_at(index, cycle, |i| i);
-        self.redundant.cfg().edges()[ei].to.0
-    }
-}
-
-/// Campaign target for a plain unprotected FSM netlist: no detection
-/// mechanism exists, so every wrong landing is a hijack.
-#[derive(Debug)]
-pub struct UnprotectedTarget<'a> {
-    fsm: &'a Fsm,
-    lowered: &'a LoweredFsm,
-    cfg: scfi_fsm::Cfg,
-    /// Representative raw inputs per CFG edge; `None` for edges no input
-    /// valuation can drive.
-    representatives: Vec<Option<Vec<bool>>>,
-    /// Drivable edges in ascending order — the single-transition scenario
-    /// space.
-    drivable: Vec<usize>,
-    space: ScenarioSpace,
-}
-
-impl<'a> UnprotectedTarget<'a> {
-    /// Builds the scenario list: one representative raw-input vector per
-    /// reachable CFG edge (found by enumerating input valuations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FSM has more than 20 control signals (enumeration
-    /// guard).
-    pub fn new(fsm: &'a Fsm, lowered: &'a LoweredFsm) -> Self {
-        let n = fsm.signals().len();
-        assert!(n <= 20, "too many signals to enumerate scenarios");
-        let cfg = fsm.cfg();
-        let mut representatives = vec![None; cfg.edges().len()];
-        for bits in 0..(1u64 << n) {
-            let inputs: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
-            for s in fsm.states() {
-                let ei = cfg.matched_edge(s, &inputs);
-                if representatives[ei].is_none() {
-                    representatives[ei] = Some(inputs.clone());
-                }
-            }
-        }
-        let drivable = (0..cfg.edges().len())
-            .filter(|&ei| representatives[ei].is_some())
-            .collect();
-        UnprotectedTarget {
-            fsm,
-            lowered,
-            cfg,
-            representatives,
-            drivable,
-            space: ScenarioSpace::single_transition(),
-        }
-    }
-
-    /// Multi-cycle protocol target: seeded random walks over the *drivable*
-    /// edges only (an edge no input valuation can take cannot appear in a
-    /// concrete input schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero (and inherits [`UnprotectedTarget::new`]'s
-    /// signal-count guard).
-    pub fn with_protocol(fsm: &'a Fsm, lowered: &'a LoweredFsm, depth: usize, seed: u64) -> Self {
-        let mut target = Self::new(fsm, lowered);
-        let walks = target
-            .cfg
-            .random_walks_where(depth, seed, |ei| target.representatives[ei].is_some());
-        target.space = ScenarioSpace::protocol(&target.cfg, expand_walks(walks));
-        target
-    }
-
-    /// Adversarially fuzzed multi-cycle target: the same drivable random
-    /// walks as [`with_protocol`](Self::with_protocol), but every cycle of
-    /// every scenario samples its raw input word from *all* valuations
-    /// driving that edge (up to [`Self::INPUT_VARIANTS`] per edge) instead
-    /// of reusing the one on-walk representative — the attacker's free
-    /// choice of inputs from §3, restricted to words that keep the walk on
-    /// its edge sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero (and inherits [`UnprotectedTarget::new`]'s
-    /// signal-count guard).
-    pub fn with_fuzzed_protocol(
-        fsm: &'a Fsm,
-        lowered: &'a LoweredFsm,
-        depth: usize,
-        seed: u64,
-    ) -> Self {
-        let mut target = Self::new(fsm, lowered);
-        let n = fsm.signals().len();
-        // Every admissible valuation per edge, capped per edge: the same
-        // enumeration as `new`, kept instead of first-hit-only.
-        let mut variants: Vec<Vec<Vec<bool>>> = vec![Vec::new(); target.cfg.edges().len()];
-        for bits in 0..(1u64 << n) {
-            let inputs: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
-            for s in fsm.states() {
-                let ei = target.cfg.matched_edge(s, &inputs);
-                if variants[ei].len() < Self::INPUT_VARIANTS {
-                    variants[ei].push(inputs.clone());
-                }
-            }
-        }
-        let walks = target
-            .cfg
-            .random_walks_where(depth, seed, |ei| target.representatives[ei].is_some());
-        let mut next = xorshift64star(seed ^ 0xF0_22_1E);
-        let mut scenarios = Vec::new();
-        for walk in walks {
-            for cycle in 0..walk.len() {
-                let fuzzed: Vec<Vec<bool>> = walk
-                    .iter()
-                    .map(|&ei| {
-                        let pool = &variants[ei];
-                        pool[(next() % pool.len() as u64) as usize].clone()
-                    })
-                    .collect();
-                scenarios.push(
-                    ProtocolScenario::uniform(walk.clone(), FaultTiming::Transient(cycle))
-                        .with_inputs(fuzzed),
-                );
-            }
-        }
-        target.space = ScenarioSpace::protocol(&target.cfg, scenarios);
-        target
-    }
-
-    /// Input valuations sampled per edge by
-    /// [`with_fuzzed_protocol`](Self::with_fuzzed_protocol).
-    pub const INPUT_VARIANTS: usize = 8;
-
-    /// Multi-cycle target over hand-picked protocol scenarios. Every walk
-    /// edge must be drivable (see
-    /// [`UnprotectedTarget::scenario_edge_is_drivable`]) — an edge no input
-    /// valuation can take has no concrete input vector to schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a walk is empty, disconnected, times its fault window past
-    /// the walk's end, or uses an undrivable edge.
-    pub fn with_scenarios(
-        fsm: &'a Fsm,
-        lowered: &'a LoweredFsm,
-        scenarios: Vec<ProtocolScenario>,
-    ) -> Self {
-        let mut target = Self::new(fsm, lowered);
-        for (i, s) in scenarios.iter().enumerate() {
-            for &ei in &s.edges {
-                assert!(
-                    target.representatives[ei].is_some(),
-                    "protocol scenario {i} uses edge {ei}, which no input valuation drives"
-                );
-            }
-        }
-        target.space = ScenarioSpace::protocol(&target.cfg, scenarios);
-        target
-    }
-
-    /// Whether some input valuation takes CFG edge `ei` — i.e. whether the
-    /// edge can appear in a concrete protocol schedule.
-    pub fn scenario_edge_is_drivable(&self, ei: usize) -> bool {
-        self.representatives[ei].is_some()
-    }
-
-    /// The source FSM.
-    pub fn fsm(&self) -> &'a Fsm {
-        self.fsm
-    }
-
-    fn raw_inputs(&self, ei: usize) -> Vec<bool> {
-        self.representatives[ei]
-            .clone()
-            .expect("scenario edges are drivable by construction")
-    }
-}
-
-impl FaultTarget for UnprotectedTarget<'_> {
-    fn module(&self) -> &Module {
-        self.lowered.module()
-    }
-
-    fn scenario_count(&self) -> usize {
-        self.space.count(self.drivable.len())
-    }
-
-    fn scenario(&self, index: usize) -> Scenario {
-        self.space.scenario(
-            index,
-            &self.cfg,
-            |i| self.drivable[i],
-            |s| self.lowered.encoding(s).iter().collect(),
-            |ei| self.raw_inputs(ei),
-        )
-    }
-
-    fn classify(&self, index: usize, cycle: usize, regs: &[bool], _outputs: &[bool]) -> Outcome {
-        let ei = self.space.edge_at(index, cycle, |i| self.drivable[i]);
-        match self.lowered.decode_registers(regs) {
-            Some(s) if s == self.cfg.edges()[ei].to => Outcome::Masked,
-            _ => Outcome::Hijack,
-        }
-    }
-
-    fn wave_oracle(&self) -> Option<WaveOracle> {
-        let enc = self.lowered.encodings();
-        // decode_registers matches the whole register file against the
-        // binary encodings; a width mismatch would never decode, so keep
-        // the scalar fallback for that (impossible by construction) case.
-        if enc.is_empty() || enc[0].len() != self.module().registers().len() {
-            return None;
-        }
-        Some(WaveOracle::new(
-            enc.iter().map(|e| e.iter().collect()).collect(),
-            false,
-            false,
-            AlertModel::None,
-        ))
-    }
-
-    fn expected_state(&self, index: usize, cycle: usize) -> usize {
-        let ei = self.space.edge_at(index, cycle, |i| self.drivable[i]);
-        self.cfg.edges()[ei].to.0
+        Some(self.scheme.detection())
     }
 }
 
@@ -999,36 +726,14 @@ mod tests {
         assert_eq!(t.scenario_count(), f.cfg().edges().len());
     }
 
-    #[test]
-    fn fault_free_runs_classify_as_masked() {
-        let f = fsm();
-        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
-        let t = ScfiTarget::new(&h);
+    /// Walks every scenario of `t` fault-free and checks each cycle
+    /// classifies as Masked.
+    fn assert_fault_free_masked(t: &impl FaultTarget, cycles: usize, what: &str) {
+        assert!(t.scenario_count() > 0, "{what}");
         for i in 0..t.scenario_count() {
             let sc = t.scenario(i);
-            let mut sim = scfi_netlist::Simulator::new(t.module());
-            sim.set_register_values(&sc.regs);
-            let out = sim.step(&sc.inputs[0]);
-            assert_eq!(
-                t.classify(i, 0, sim.register_values(), &out),
-                Outcome::Masked,
-                "scenario {i}"
-            );
-        }
-    }
-
-    /// Walks every protocol scenario of every target fault-free and checks
-    /// each cycle classifies as Masked — the N-cycle generalization of the
-    /// fault-free sanity check.
-    #[test]
-    fn fault_free_protocol_walks_classify_as_masked_every_cycle() {
-        let f = fsm();
-        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
-        let t = ScfiTarget::with_protocol(&h, 4, 11);
-        assert!(t.scenario_count() > 0);
-        for i in 0..t.scenario_count() {
-            let sc = t.scenario(i);
-            assert_eq!(sc.cycles(), 4);
+            assert_eq!(sc.cycles(), cycles, "{what}");
+            assert_eq!(sc.landings.len(), cycles, "{what}");
             let mut sim = scfi_netlist::Simulator::new(t.module());
             sim.set_register_values(&sc.regs);
             for (c, inputs) in sc.inputs.iter().enumerate() {
@@ -1036,10 +741,29 @@ mod tests {
                 assert_eq!(
                     t.classify(i, c, sim.register_values(), &out),
                     Outcome::Masked,
-                    "scenario {i} cycle {c}"
+                    "{what}: scenario {i} cycle {c}"
                 );
             }
         }
+    }
+
+    /// Fault-free trajectories classify as Masked at every cycle, for
+    /// every scheme, in the single-transition and the protocol space.
+    #[test]
+    fn fault_free_walks_classify_as_masked_every_cycle() {
+        let f = fsm();
+        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
+        let r = redundancy(&f, 2).unwrap();
+        let lowered = lower_unprotected(&f).unwrap();
+        assert_fault_free_masked(&ScfiTarget::new(&h), 1, "scfi");
+        assert_fault_free_masked(&ScfiTarget::with_protocol(&h, 4, 11), 4, "scfi walks");
+        assert_fault_free_masked(&RedundancyTarget::new(&r), 1, "redundancy");
+        let walks = RedundancyTarget::with_protocol(&r, 4, 11);
+        assert_fault_free_masked(&walks, 4, "redundancy walks");
+        let single = UnprotectedTarget::new(&f, &lowered);
+        assert_fault_free_masked(&single, 1, "unprotected");
+        let walks = UnprotectedTarget::with_protocol(&f, &lowered, 4, 11);
+        assert_fault_free_masked(&walks, 4, "unprotected walks");
     }
 
     #[test]
@@ -1067,10 +791,10 @@ mod tests {
             let sc = t.scenario(i);
             // Replaying the schedule on the behavioral FSM must follow the
             // walk exactly (each representative input drives its edge).
-            let mut state = t.cfg.edges()[t.space.protocol.as_ref().unwrap()[i].edges[0]].from;
+            let mut state = t.cfg.edges()[t.protocol.as_ref().unwrap()[i].edges[0]].from;
             for (c, raw) in sc.inputs.iter().enumerate() {
                 let ei = t.cfg.matched_edge(state, raw);
-                assert_eq!(ei, t.space.protocol.as_ref().unwrap()[i].edges[c]);
+                assert_eq!(ei, t.protocol.as_ref().unwrap()[i].edges[c]);
                 state = t.cfg.edges()[ei].to;
             }
         }
@@ -1165,7 +889,7 @@ mod tests {
         let f = fsm();
         let lowered = lower_unprotected(&f).unwrap();
         let t = UnprotectedTarget::with_fuzzed_protocol(&f, &lowered, 3, 5);
-        let protocol = t.space.protocol.as_ref().unwrap();
+        let protocol = t.protocol.as_ref().unwrap();
         assert!(t.scenario_count() > 0);
         assert_eq!(protocol.len(), t.scenario_count());
         let mut varied = false;
@@ -1175,7 +899,7 @@ mod tests {
             for (c, raw) in sc.inputs.iter().enumerate() {
                 let ei = t.cfg.matched_edge(state, raw);
                 assert_eq!(ei, walk.edges[c], "scenario {i} cycle {c}");
-                varied |= Some(raw) != t.representatives[ei].as_ref();
+                varied |= Some(raw) != t.edge_inputs[ei].as_ref();
                 state = t.cfg.edges()[ei].to;
             }
         }

@@ -342,8 +342,10 @@ pub(crate) struct RunOutput {
     pub panics: Vec<(Range<usize>, String)>,
 }
 
-/// Extracts a printable message from a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a printable message from a caught panic payload (as returned
+/// by [`std::panic::catch_unwind`]): the `&str` or `String` the panic was
+/// raised with.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -585,15 +587,12 @@ fn execute_waves<T: FaultTarget, const W: usize>(
     }
 }
 
-/// Per-wave cached scenario: the materialized schedule, the per-cycle
-/// expected landing states (word-parallel classification), and the lazily
-/// computed fault-free baseline trace (pruned stepping).
+/// Per-wave cached scenario: the materialized schedule (with its landing
+/// states for word-parallel classification) and the lazily computed
+/// fault-free baseline trace (pruned stepping).
 struct SlotCache {
     index: usize,
     sc: Scenario,
-    /// `expected[c]` = the oracle codebook index of the fault-free landing
-    /// state after cycle `c`; empty when the target has no oracle.
-    expected: Vec<usize>,
     /// `baseline[c][n]` = net `n`'s fault-free value settled during cycle
     /// `c` (registers hold start-of-cycle state). Computed on first use.
     baseline: Option<Vec<Vec<bool>>>,
@@ -710,17 +709,16 @@ fn run_waves<T: FaultTarget, const W: usize>(
                             "scenario input width mismatch"
                         );
                     }
-                    let expected = if oracle.is_some() {
-                        (0..sc.cycles())
-                            .map(|c| target.expected_state(scenario, c))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
+                    if oracle.is_some() {
+                        assert_eq!(
+                            sc.landings.len(),
+                            sc.cycles(),
+                            "scenario {scenario} needs one landing state per cycle"
+                        );
+                    }
                     scens.push(SlotCache {
                         index: scenario,
                         sc,
-                        expected,
                         baseline: None,
                     });
                     scens.len() - 1
@@ -881,7 +879,7 @@ fn run_waves<T: FaultTarget, const W: usize>(
                                 }
                                 let (det, hij) = oracle.classify_word(
                                     det_base,
-                                    slot.expected[cycle],
+                                    slot.sc.landings[cycle],
                                     w,
                                     group,
                                     regs,
@@ -1255,7 +1253,6 @@ mod tests {
         let probe = UnprotectedTarget::new(&f, &lowered);
         let depth = 4;
         let walks = probe
-            .fsm()
             .cfg()
             .random_walks_where(depth, 7, |ei| probe.scenario_edge_is_drivable(ei));
         let build = |timing: &dyn Fn(usize) -> FaultTiming| {

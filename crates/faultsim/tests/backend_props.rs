@@ -167,6 +167,8 @@ fn decode_scenarios(module: &Module, specs: &[ScenarioSpec]) -> Vec<Scenario> {
                             .collect(),
                     )
                 },
+                // No word oracle, so no landing states to record.
+                landings: Vec::new(),
             }
         })
         .collect()

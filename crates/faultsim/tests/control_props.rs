@@ -71,6 +71,8 @@ impl SyntheticTarget {
                 } else {
                     FaultTiming::Transient(s % 2)
                 }),
+                // No word oracle, so no landing states to record.
+                landings: Vec::new(),
             })
             .collect();
         SyntheticTarget {

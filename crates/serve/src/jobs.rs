@@ -24,7 +24,7 @@ use std::time::Duration;
 use scfi_core::{PadPolicy, ScfiConfig};
 use scfi_faultsim::{
     enumerate_faults, try_run_multi_fault, Backend, CampaignConfig, CampaignError, CampaignReport,
-    Fault, FaultEffect, FaultTarget, RedundancyTarget, RunControl, ScfiTarget, StopReason,
+    CodedScheme, Fault, FaultEffect, FaultTarget, RunControl, SchemeTarget, StopReason,
     UnprotectedTarget, VulnerabilityMap,
 };
 use scfi_fsm::{parse_fsm, Fsm};
@@ -434,6 +434,24 @@ impl JobSpec {
             }
         }
 
+        // An unprotected campaign enumerates every raw input valuation;
+        // refuse an FSM too wide for that here rather than fail the job.
+        // (Certification quantifies symbolically and has no such limit.)
+        let signals = spec.fsm.signals().len();
+        if kind == JobKind::Analyze
+            && spec.config == ConfigKind::Unprotected
+            && signals > UnprotectedTarget::MAX_SIGNALS
+        {
+            return Err(ApiError::bad_request(
+                "too_many_signals",
+                format!(
+                    "an unprotected campaign enumerates 2^signals input words; \
+                     `fsm` has {signals} signals (at most {})",
+                    UnprotectedTarget::MAX_SIGNALS
+                ),
+            ));
+        }
+
         spec.stuck_at = field_bool(doc, "stuck_at")?;
         spec.pin_faults = field_bool(doc, "pin_faults")?;
         spec.all_gates = field_bool(doc, "all_gates")?;
@@ -664,25 +682,9 @@ fn analyze(
     }
     let walk = (spec.protocol, spec.fuzz_inputs);
     match &prepared.model {
-        PreparedModel::Scfi(hardened) => {
-            let target = match walk {
-                (Some(depth), true) => ScfiTarget::with_fuzzed_protocol(hardened, depth, WALK_SEED),
-                (Some(depth), false) => ScfiTarget::with_protocol(hardened, depth, WALK_SEED),
-                (None, _) => ScfiTarget::new(hardened),
-            };
-            campaign(&target, spec, &config, control)
-        }
-        PreparedModel::Redundancy(redundant) => {
-            let target = match walk {
-                (Some(depth), true) => {
-                    RedundancyTarget::with_fuzzed_protocol(redundant, depth, WALK_SEED)
-                }
-                (Some(depth), false) => {
-                    RedundancyTarget::with_protocol(redundant, depth, WALK_SEED)
-                }
-                (None, _) => RedundancyTarget::new(redundant),
-            };
-            campaign(&target, spec, &config, control)
+        PreparedModel::Scfi(h) => campaign(&coded_target(h.as_ref(), walk), spec, &config, control),
+        PreparedModel::Redundancy(r) => {
+            campaign(&coded_target(r.as_ref(), walk), spec, &config, control)
         }
         PreparedModel::Unprotected(u) => {
             let target = match walk {
@@ -696,6 +698,16 @@ fn analyze(
             };
             campaign(&target, spec, &config, control)
         }
+    }
+}
+
+/// A coded scheme's campaign target for the spec's `(protocol,
+/// fuzz_inputs)` walk knobs.
+fn coded_target<S: CodedScheme>(scheme: &S, walk: (Option<usize>, bool)) -> SchemeTarget<'_, S> {
+    match walk {
+        (Some(depth), true) => SchemeTarget::<S>::with_fuzzed_protocol(scheme, depth, WALK_SEED),
+        (Some(depth), false) => SchemeTarget::<S>::with_protocol(scheme, depth, WALK_SEED),
+        (None, _) => SchemeTarget::<S>::new(scheme),
     }
 }
 
@@ -752,7 +764,7 @@ fn certify<M: CertifyModel>(
         }
         Err(overflow) => JobResult::Joint {
             report: JointReport {
-                config: model.config_name(),
+                config: model.name(),
                 module: module.name().to_string(),
                 sites: faults.len(),
                 max_active,
@@ -899,6 +911,29 @@ mod tests {
                 Some(e.code)
             );
         }
+    }
+
+    #[test]
+    fn wide_unprotected_campaigns_are_refused_at_submit() {
+        let signals: Vec<String> = (0..=UnprotectedTarget::MAX_SIGNALS)
+            .map(|i| format!("s{i}"))
+            .collect();
+        let dsl = format!(
+            "fsm wide {{ inputs {}; state A {{ if s0 -> B; }} state B {{ goto A; }} }}",
+            signals.join(", ")
+        );
+        let body = |kind: &str, config: &str| {
+            let fsm = Json::Str(dsl.clone()).encode();
+            format!(r#"{{"kind": "{kind}", "config": "{config}", "level": 2, "fsm": {fsm}}}"#)
+        };
+        let e = spec(&body("analyze", "unprotected")).unwrap_err();
+        assert_eq!((e.status, e.code), (400, "too_many_signals"));
+        assert!(e.message.contains("21 signals"), "{}", e.message);
+        // Certification quantifies symbolically, and the coded schemes
+        // drive condition codewords: neither enumerates input words.
+        assert!(spec(&body("certify", "unprotected")).is_ok());
+        assert!(spec(&body("analyze", "scfi")).is_ok());
+        assert!(spec(&body("analyze", "redundancy")).is_ok());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scfi_faultsim::{RunControl, StopReason};
+use scfi_faultsim::{panic_message, RunControl, StopReason};
 use scfi_telemetry::Telemetry;
 
 use crate::cache::CompileCache;
@@ -438,27 +438,17 @@ fn run_one(registry: &Registry, job: &Job) {
     let run_start = Instant::now();
 
     let spec = &job.spec;
-    let prepared = catch_unwind(AssertUnwindSafe(|| {
+    let prepared = catch_panic("model preparation", || {
         registry
             .cache
             .get_or_prepare(&spec.fsm, spec.config, spec.level)
-    }));
-    let (prepared, cache_hit) = match prepared {
-        Ok(Ok(pair)) => pair,
-        Ok(Err(message)) => {
+    });
+    let (prepared, cache_hit) = match prepared.and_then(|result| result) {
+        Ok(pair) => pair,
+        Err(message) => {
             let mut inner = job.inner.lock().expect("job");
             inner.state = JobState::Failed;
             inner.error = Some(message);
-            inner.finished_at = Some(Instant::now());
-            return;
-        }
-        Err(payload) => {
-            let mut inner = job.inner.lock().expect("job");
-            inner.state = JobState::Failed;
-            inner.error = Some(format!(
-                "model preparation panicked: {}",
-                panic_text(&payload)
-            ));
             inner.finished_at = Some(Instant::now());
             return;
         }
@@ -478,9 +468,9 @@ fn run_one(registry: &Registry, job: &Job) {
         }
     }
 
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = catch_panic("job", || {
         crate::jobs::run_job(spec, &prepared, &control, &registry.telemetry)
-    }));
+    });
     let run_elapsed = run_start.elapsed();
     registry
         .telemetry
@@ -508,26 +498,20 @@ fn run_one(registry: &Registry, job: &Job) {
             inner.error = Some(format!("stopped early: {reason}"));
             inner.result = Some((body, "application/json"));
         }
-        Ok(JobOutcome::Failed { message }) => {
+        Ok(JobOutcome::Failed { message }) | Err(message) => {
             inner.state = JobState::Failed;
             inner.error = Some(message);
-        }
-        Err(payload) => {
-            inner.state = JobState::Failed;
-            inner.error = Some(format!("job panicked: {}", panic_text(&payload)));
         }
     }
     inner.finished_at = Some(Instant::now());
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs one stage of a job with panic isolation: a panic becomes the
+/// failure message `"{stage} panicked: {payload}"` and the worker
+/// survives.
+fn catch_panic<T>(stage: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f))
+        .map_err(|payload| format!("{stage} panicked: {}", panic_message(payload)))
 }
 
 // ---------------------------------------------------------------------
@@ -974,6 +958,18 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
         assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn worker_panics_keep_their_message() {
+        let literal = catch_panic("job", || -> () { panic!("boom") });
+        let formatted = catch_panic("model preparation", || -> () { panic!("bad {}", 7) });
+        assert_eq!(literal, Err("job panicked: boom".to_string()));
+        assert_eq!(
+            formatted,
+            Err("model preparation panicked: bad 7".to_string())
+        );
+        assert_eq!(catch_panic("job", || 5), Ok(5));
     }
 
     #[test]

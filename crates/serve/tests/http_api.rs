@@ -284,6 +284,12 @@ fn full_queue_answers_429_with_retry_after() {
 fn malformed_and_invalid_requests_get_typed_errors() {
     let server = boot(ServerOptions::default());
     let addr = server.local_addr();
+    // 21 control signals: one past what an unprotected campaign enumerates.
+    let signals: Vec<String> = (0..21).map(|i| format!("s{i}")).collect();
+    let wide_unprotected = format!(
+        r#"{{"kind": "analyze", "config": "unprotected", "level": 2, "fsm": "fsm wide {{ inputs {}; state A {{ if s0 -> B; }} state B {{ goto A; }} }}"}}"#,
+        signals.join(", ")
+    );
 
     let cases: &[(&str, &str, Option<&str>, u16, &str)] = &[
         ("POST", "/v1/jobs", Some("{not json"), 400, "bad_json"),
@@ -309,6 +315,13 @@ fn malformed_and_invalid_requests_get_typed_errors() {
             Some(r#"{"kind": "analyze", "suite": "aes_control", "turbo": true}"#),
             400,
             "unknown_field",
+        ),
+        (
+            "POST",
+            "/v1/jobs",
+            Some(&wide_unprotected),
+            400,
+            "too_many_signals",
         ),
         ("GET", "/v1/jobs/999", None, 404, "unknown_job"),
         ("GET", "/v1/jobs/999/result", None, 404, "unknown_job"),

@@ -13,7 +13,10 @@
 //! replica banks for redundancy, anything at all for the unprotected
 //! lowering), `alerted` collects the configuration's detection output
 //! ports, and `Assume` is the configuration's input-interface assumption
-//! ([`CertifyModel::input_assumption`]). An empty `escape` BDD is a
+//! (its [`condition_words`](CertifyModel::condition_words) codebook). All
+//! three are interpreted from the configuration's
+//! [`ProtectionScheme`](scfi_faultsim::ProtectionScheme) descriptor. An
+//! empty `escape` BDD is a
 //! *proof*: over **all** reachable states and **all** admissible input
 //! words, no single injection of that fault silently hijacks the next
 //! transition — the paper's §3/§5 guarantee, closed over the whole input
@@ -35,66 +38,23 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use scfi_core::{HardenedFsm, RedundantFsm, StateDecode};
-use scfi_fsm::LoweredFsm;
 use scfi_netlist::{Module, Simulator};
 use scfi_telemetry::Telemetry;
 
-use scfi_faultsim::{Fault, FaultEffect, FaultSite, RunControl};
+use scfi_faultsim::{Fault, FaultEffect, FaultSite, RunControl, WaveOracle};
 
 use crate::bdd::{Bdd, BddOverflow, BddRef};
 use crate::eval::{SymStep, SymbolicEvaluator};
 use crate::reach::{try_reachable_states, Reachability};
 
 /// A protected (or deliberately unprotected) netlist the certifier can
-/// reason about: the module plus the configuration-specific detection
-/// semantics, in both symbolic and concrete form.
-///
-/// The two forms must agree — [`Certifier`] replays every symbolic
-/// counterexample through the concrete side, and the test suites pin the
-/// pair against each other on random words.
-pub trait CertifyModel {
-    /// The netlist under certification.
-    fn module(&self) -> &Module;
-
-    /// Symbolic decode-level escape condition: the BDD of "the faulty
-    /// next-state word `next` would *not* be flagged by decoding" —
-    /// landing on a valid operational codeword for SCFI, replica banks
-    /// agreeing for redundancy, `TRUE` for the unprotected lowering
-    /// (which has no decode-level detection at all).
-    ///
-    /// Fallible so a budgeted manager (see [`CertifyBudget`]) can surface
-    /// [`BddOverflow`] mid-construction; on an unbudgeted manager the
-    /// `try_*` BDD operations never fail.
-    fn undetected_next(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow>;
-
-    /// The input-space assumption the certification quantifies under,
-    /// over the module's input-port functions `inputs`.
-    ///
-    /// The paper's interface assumption (§5) is that the driving modules
-    /// deliver the encoded control word with its full Hamming distance —
-    /// a non-codeword `xe` is itself a fault event, not a legal input, so
-    /// admitting it would certify a *two*-fault attacker against a
-    /// single-fault claim. The protected configurations therefore
-    /// restrict `xe` to valid condition codewords; the unprotected
-    /// lowering takes raw control signals, where every word is legal
-    /// (default: no restriction).
-    fn input_assumption(&self, b: &mut Bdd, inputs: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        let _ = inputs;
-        Ok(b.constant(true))
-    }
-
-    /// Concrete counterpart of [`CertifyModel::undetected_next`].
-    fn undetected_next_concrete(&self, next: &[bool]) -> bool;
-
-    /// Output-port indices whose assertion during the faulty cycle counts
-    /// as detection (SCFI: `alert` and `in_error`; redundancy: the
-    /// mismatch `alert`; unprotected: none).
-    fn detection_ports(&self) -> Vec<usize>;
-
-    /// Human-readable configuration tag for reports (e.g. `"SCFI"`).
-    fn config_name(&self) -> &'static str;
-}
+/// reason about — the campaign layer's
+/// [`ProtectionScheme`](scfi_faultsim::ProtectionScheme): the
+/// certifier builds its symbolic and concrete detection logic from the
+/// scheme's [`detection`](scfi_faultsim::ProtectionScheme::detection) descriptor and its
+/// input-space assumption from
+/// [`condition_words`](scfi_faultsim::ProtectionScheme::condition_words).
+pub use scfi_faultsim::ProtectionScheme as CertifyModel;
 
 /// Builds the disjunction of exact-word matches `⋁_w (next == w)`.
 fn word_match_any(
@@ -115,105 +75,99 @@ fn word_match_any(
     Ok(any)
 }
 
-impl CertifyModel for HardenedFsm {
-    fn module(&self) -> &Module {
-        HardenedFsm::module(self)
-    }
-
-    fn undetected_next(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        // Escaping means landing on some *operational* codeword; the
-        // all-zero ERROR word and every non-codeword are caught by the
-        // decode (`StateDecode::Error` / `Invalid`).
-        let words: Vec<Vec<bool>> = (0..self.fsm().state_count())
-            .map(|s| self.encode_state(scfi_fsm::StateId(s)).iter().collect())
-            .collect();
-        word_match_any(b, next, &words)
-    }
-
-    fn undetected_next_concrete(&self, next: &[bool]) -> bool {
-        matches!(self.decode_registers(next), StateDecode::State(_))
-    }
-
-    fn input_assumption(&self, b: &mut Bdd, inputs: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        let words: Vec<Vec<bool>> = (0..self.cond_code().len())
-            .map(|c| self.cond_code().word(c).iter().collect())
-            .collect();
-        word_match_any(b, inputs, &words)
-    }
-
-    fn detection_ports(&self) -> Vec<usize> {
-        let n = HardenedFsm::module(self).outputs().len();
-        vec![n - 2, n - 1] // `alert`, `in_error`
-    }
-
-    fn config_name(&self) -> &'static str {
-        "scfi"
-    }
+/// A scheme's detection semantics, interpreted once per [`Certifier`]
+/// from its descriptor: the decode-level "undetected" predicate in
+/// symbolic and concrete form, the detection ports, and the input-space
+/// assumption. The two forms agree by construction — both read the same
+/// [`WaveOracle`] — and every symbolic counterexample is replayed
+/// through the concrete side.
+pub(crate) struct Detection {
+    oracle: WaveOracle,
+    /// The §5 condition codebook; `None` admits every input word.
+    condition_words: Option<Vec<Vec<bool>>>,
+    /// Output ports whose assertion during the faulty cycle counts as
+    /// detection (SCFI: `alert` and `in_error`; redundancy: the mismatch
+    /// `alert`; unprotected: none).
+    pub(crate) ports: Vec<usize>,
 }
 
-impl CertifyModel for RedundantFsm {
-    fn module(&self) -> &Module {
-        RedundantFsm::module(self)
+impl Detection {
+    fn new<M: CertifyModel>(model: &M) -> Self {
+        let oracle = model.detection();
+        let ports = oracle.alert_ports(model.module().outputs().len()).collect();
+        // `undetected` excludes the zero ERROR word only through the
+        // codeword match; a descriptor where that would not suffice
+        // needs its own exclusion there.
+        let zero_is_codeword = oracle
+            .codewords()
+            .iter()
+            .any(|cw| cw.iter().all(|&bit| !bit));
+        assert!(
+            !oracle.zero_is_error() || oracle.invalid_is_detected() && !zero_is_codeword,
+            "{}: a detected zero word must be a non-codeword",
+            model.name()
+        );
+        Detection {
+            oracle,
+            condition_words: model.condition_words(),
+            ports,
+        }
     }
 
-    fn undetected_next(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        // Escaping the redundancy scheme means every replica bank agrees
-        // with bank 0 after the step — the mismatch detector (evaluated
-        // on the post-step banks, exactly like the campaign classifier)
-        // stays silent on any agreed word, in range or not.
-        let sb = self.state_bits();
-        let mut agree = BddRef::TRUE;
-        for bank in next.chunks(sb).skip(1) {
-            for (&a, &c) in next[..sb].iter().zip(bank) {
-                let eq = b.try_xnor(a, c)?;
-                agree = b.try_and(agree, eq)?;
+    /// Symbolic decode-level escape condition: the BDD of "the faulty
+    /// next-state word `next` would *not* be flagged by decoding" —
+    /// replica banks agreeing, and (per the descriptor) landing on a
+    /// codeword. `TRUE` for a scheme without decode-level detection.
+    pub(crate) fn undetected(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow> {
+        let o = &self.oracle;
+        let mut undetected = BddRef::TRUE;
+        if let Some(sb) = o.replica_bank_bits() {
+            for bank in next.chunks(sb).skip(1) {
+                for (&a, &c) in next[..sb].iter().zip(bank) {
+                    let eq = b.try_xnor(a, c)?;
+                    undetected = b.try_and(undetected, eq)?;
+                }
             }
         }
-        Ok(agree)
+        if o.invalid_is_detected() {
+            // Escaping means landing on some codeword.
+            // No `TRUE ∧ valid`: every operation counts against the
+            // per-site step budget.
+            let valid = word_match_any(b, &next[..o.decode_width()], o.codewords())?;
+            undetected = if undetected == BddRef::TRUE {
+                valid
+            } else {
+                b.try_and(undetected, valid)?
+            };
+        }
+        Ok(undetected)
     }
 
-    fn undetected_next_concrete(&self, next: &[bool]) -> bool {
-        let sb = self.state_bits();
-        next.chunks(sb).skip(1).all(|bank| bank == &next[..sb])
+    /// Concrete counterpart of [`undetected`](Self::undetected).
+    pub(crate) fn undetected_concrete(&self, next: &[bool]) -> bool {
+        self.oracle.undetected(next)
     }
 
-    fn input_assumption(&self, b: &mut Bdd, inputs: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        // Same protected control interface as SCFI (§6.1): the driving
-        // domain delivers valid HD-N condition codewords.
-        let words: Vec<Vec<bool>> = (0..self.cond_code().len())
-            .map(|c| self.cond_code().word(c).iter().collect())
-            .collect();
-        word_match_any(b, inputs, &words)
+    /// Whether any detection port is asserted in the sampled `outputs`.
+    pub(crate) fn alerted(&self, outputs: &[bool]) -> bool {
+        self.ports.iter().any(|&p| outputs[p])
     }
 
-    fn detection_ports(&self) -> Vec<usize> {
-        vec![RedundantFsm::module(self).outputs().len() - 1] // `alert`
-    }
-
-    fn config_name(&self) -> &'static str {
-        "redundancy"
-    }
-}
-
-impl CertifyModel for LoweredFsm {
-    fn module(&self) -> &Module {
-        LoweredFsm::module(self)
-    }
-
-    fn undetected_next(&self, b: &mut Bdd, _next: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        Ok(b.constant(true)) // no detection mechanism exists
-    }
-
-    fn undetected_next_concrete(&self, _next: &[bool]) -> bool {
-        true
-    }
-
-    fn detection_ports(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    fn config_name(&self) -> &'static str {
-        "unprotected"
+    /// The input-space assumption the certification quantifies under,
+    /// over the module's input-port functions `inputs`.
+    ///
+    /// The paper's interface assumption (§5) is that the driving modules
+    /// deliver the encoded control word with its full Hamming distance —
+    /// a non-codeword `xe` is itself a fault event, not a legal input, so
+    /// admitting it would certify a *two*-fault attacker against a
+    /// single-fault claim. The protected configurations therefore
+    /// restrict `xe` to valid condition codewords; the unprotected
+    /// lowering takes raw control signals, where every word is legal.
+    pub(crate) fn assumption(&self, b: &mut Bdd, inputs: &[BddRef]) -> Result<BddRef, BddOverflow> {
+        match &self.condition_words {
+            Some(words) => word_match_any(b, inputs, words),
+            None => Ok(BddRef::TRUE),
+        }
     }
 }
 
@@ -504,7 +458,7 @@ pub struct Certifier<'m, M: CertifyModel> {
     pub(crate) reach: Reachability,
     /// The model's input-space assumption over the input variables.
     pub(crate) assumption: BddRef,
-    pub(crate) detection_ports: Vec<usize>,
+    pub(crate) detection: Detection,
     /// Observability handle ([`Telemetry::off`] unless installed via
     /// [`with_instruments`](Self::with_instruments)); recording never
     /// changes any verdict or report byte.
@@ -570,7 +524,8 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
         let input_vars = (0..model.module().inputs().len())
             .map(|i| bdd.try_var(evaluator.varmap().input(i)))
             .collect::<Result<Vec<BddRef>, _>>()?;
-        let assumption = model.input_assumption(&mut bdd, &input_vars)?;
+        let detection = Detection::new(model);
+        let assumption = detection.assumption(&mut bdd, &input_vars)?;
         let reach_start = telemetry.enabled().then(|| {
             let now = Instant::now();
             if let Some(start) = setup_start {
@@ -596,7 +551,6 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
         if let Some(s) = budget.max_steps {
             bdd.set_step_limit(s);
         }
-        let detection_ports = model.detection_ports();
         let mut certifier = Certifier {
             model,
             evaluator,
@@ -604,7 +558,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             base,
             reach,
             assumption,
-            detection_ports,
+            detection,
             telemetry,
             flushed_ite: (0, 0),
         };
@@ -643,7 +597,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
         overflow: BddOverflow,
     ) -> CertificationReport {
         CertificationReport {
-            config: model.config_name(),
+            config: model.name(),
             module: model.module().name().to_string(),
             sites: faults
                 .iter()
@@ -740,9 +694,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
                 }
                 Ok(any)
             };
-        // Cloned (two small indices) rather than moved out, so an early
-        // `?` return cannot leave the field empty for the next site.
-        let ports = self.detection_ports.clone();
+        let ports = &self.detection.ports;
         let b = &mut self.bdd;
 
         // diverge: the committed next state differs somewhere.
@@ -752,8 +704,8 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             diverge = b.try_or(diverge, d)?;
         }
 
-        let undetected = self.model.undetected_next(b, &faulty.next_regs)?;
-        let alerted = or_ports(b, &faulty, &ports)?;
+        let undetected = self.detection.undetected(b, &faulty.next_regs)?;
+        let alerted = or_ports(b, &faulty, ports)?;
         let quiet = b.try_not(alerted)?;
         let escape = {
             let e = b.try_and(diverge, undetected)?;
@@ -776,8 +728,8 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             // The observability test uses the campaign's observables —
             // the committed state and the detection lines, not the Moore
             // outputs (a Moore-only glitch is Masked in §6.4 terms too).
-            let base_alert = or_ports(b, &self.base, &ports)?;
-            let faulty_alert = or_ports(b, &faulty, &ports)?;
+            let base_alert = or_ports(b, &self.base, ports)?;
+            let faulty_alert = or_ports(b, &faulty, ports)?;
             let alert_diff = b.try_xor(base_alert, faulty_alert)?;
             let observable = b.try_or(diverge, alert_diff)?;
             let effect = b.try_and(observable, self.reach.states)?;
@@ -800,7 +752,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             })
             .collect();
         CertificationReport {
-            config: self.model.config_name(),
+            config: self.model.name(),
             module: self.model.module().name().to_string(),
             sites,
             reachable_states: self.reachable_state_count(),
@@ -839,9 +791,9 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
         let bad_next = sim.register_values().to_vec();
 
         let diverged = bad_next != free_next;
-        let undetected = self.model.undetected_next_concrete(&bad_next);
-        let alerted = self.detection_ports.iter().any(|&p| bad_out[p]);
-        diverged && undetected && !alerted
+        diverged
+            && self.detection.undetected_concrete(&bad_next)
+            && !self.detection.alerted(&bad_out)
     }
 }
 
@@ -876,8 +828,8 @@ pub fn describe_fault(module: &Module, fault: Fault) -> String {
 mod tests {
     use super::*;
     use scfi_core::{harden, redundancy, ScfiConfig};
-    use scfi_faultsim::{enumerate_faults, CampaignConfig};
-    use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
+    use scfi_faultsim::{enumerate_faults, AlertModel, CampaignConfig, Outcome, ProtectionScheme};
+    use scfi_fsm::{lower_unprotected, parse_fsm, Fsm, StateId};
 
     fn fsm() -> Fsm {
         parse_fsm(
@@ -966,25 +918,33 @@ mod tests {
         // Certify under the unprotected semantics (no detection ports):
         // faults on the Moore cone never touch the committed state.
         struct Raw<'a>(&'a Module);
-        impl CertifyModel for Raw<'_> {
+        impl ProtectionScheme for Raw<'_> {
             fn module(&self) -> &Module {
                 self.0
             }
-            fn undetected_next(
-                &self,
-                b: &mut Bdd,
-                _next: &[BddRef],
-            ) -> Result<BddRef, BddOverflow> {
-                Ok(b.constant(true))
-            }
-            fn undetected_next_concrete(&self, _next: &[bool]) -> bool {
-                true
-            }
-            fn detection_ports(&self) -> Vec<usize> {
-                Vec::new()
-            }
-            fn config_name(&self) -> &'static str {
+            fn name(&self) -> &'static str {
                 "raw"
+            }
+            fn detection(&self) -> WaveOracle {
+                WaveOracle::new(
+                    vec![vec![false], vec![true]],
+                    false,
+                    false,
+                    AlertModel::None,
+                )
+            }
+            fn condition_words(&self) -> Option<Vec<Vec<bool>>> {
+                None
+            }
+            fn preload(&self, state: StateId) -> Vec<bool> {
+                vec![state.0 == 1]
+            }
+            fn classify_landing(&self, regs: &[bool], _: &[bool], expected: StateId) -> Outcome {
+                if regs == self.preload(expected) {
+                    Outcome::Masked
+                } else {
+                    Outcome::Hijack
+                }
             }
         }
         let model = Raw(&m);
@@ -1003,6 +963,139 @@ mod tests {
         match certifier.certify(reg_fault) {
             Verdict::Counterexample(w) => assert!(w.confirmed),
             other => panic!("register flip must escape the raw model, got {other:?}"),
+        }
+    }
+
+    /// Lanes of a scheme-consistency batch: register files sharing one
+    /// output sample, classified against every expected state.
+    fn check_batch<M: CertifyModel>(
+        model: &M,
+        detection: &Detection,
+        regs_batch: &[Vec<bool>],
+        outputs: &[bool],
+        what: &str,
+    ) {
+        let oracle = model.detection();
+        let words = |bits: &dyn Fn(usize, usize) -> bool, width: usize| -> Vec<[u64; 1]> {
+            (0..width)
+                .map(|i| {
+                    let mut w = 0u64;
+                    for lane in 0..regs_batch.len() {
+                        w |= u64::from(bits(lane, i)) << lane;
+                    }
+                    [w]
+                })
+                .collect()
+        };
+        let reg_words = words(&|lane, i| regs_batch[lane][i], regs_batch[0].len());
+        let out_words = words(&|_, i| outputs[i], outputs.len());
+        let detected = oracle.detected_word(0, &reg_words, &out_words);
+        let live = u64::MAX >> (64 - regs_batch.len());
+        for (e, codeword) in oracle.codewords().iter().enumerate() {
+            let (det, hij) = oracle.classify_word(detected, e, 0, live, &reg_words);
+            for (lane, regs) in regs_batch.iter().enumerate() {
+                let caught = !detection.undetected_concrete(regs) || detection.alerted(outputs);
+                let verdict = if caught {
+                    Outcome::Detected
+                } else if regs[..codeword.len()] == codeword[..] {
+                    Outcome::Masked
+                } else {
+                    Outcome::Hijack
+                };
+                let reference = model.classify_landing(regs, outputs, StateId(e));
+                assert_eq!(
+                    verdict, reference,
+                    "{what}: descriptor vs classify_landing, expected state {e}, regs {regs:?}, outputs {outputs:?}"
+                );
+                let word = match (det >> lane & 1, hij >> lane & 1) {
+                    (1, _) => Outcome::Detected,
+                    (_, 1) => Outcome::Hijack,
+                    _ => Outcome::Masked,
+                };
+                assert_eq!(
+                    word, reference,
+                    "{what}: word oracle, state {e}, lane {lane}"
+                );
+            }
+        }
+    }
+
+    /// Checks one scheme's descriptor — read concretely, word-parallel and
+    /// symbolically — against its hand-written `classify_landing`.
+    fn check_scheme<M: CertifyModel>(model: &M, what: &str) {
+        let detection = Detection::new(model);
+        let module = model.module();
+        let (n_regs, n_outputs) = (module.registers().len(), module.outputs().len());
+        let mut rng = 0x5C4E_3E5Eu64;
+        let mut random_bits = |n: usize| -> Vec<bool> {
+            (0..n)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng & 1 == 1
+                })
+                .collect()
+        };
+        // Every state's register file, each single-bit flip of it, the
+        // zero word and random words.
+        let mut regs_set = vec![vec![false; n_regs]];
+        for s in 0..model.detection().codewords().len() {
+            let preload = model.preload(StateId(s));
+            for i in 0..n_regs {
+                let mut flipped = preload.clone();
+                flipped[i] = !flipped[i];
+                regs_set.push(flipped);
+            }
+            regs_set.push(preload);
+        }
+        for _ in 0..64 {
+            regs_set.push(random_bits(n_regs));
+        }
+        let mut outputs_set = vec![vec![false; n_outputs], vec![true; n_outputs]];
+        for port in 0..n_outputs {
+            let mut one = vec![false; n_outputs];
+            one[port] = true;
+            outputs_set.push(one);
+        }
+        outputs_set.push(random_bits(n_outputs));
+
+        // The symbolic predicate over plain register variables agrees
+        // with the concrete one on every word.
+        let mut b = Bdd::new();
+        let vars: Vec<BddRef> = (0..n_regs).map(|i| b.var(i as u32)).collect();
+        let undetected = detection.undetected(&mut b, &vars).expect("unbudgeted");
+        for regs in &regs_set {
+            assert_eq!(
+                b.eval(undetected, regs),
+                detection.undetected_concrete(regs),
+                "{what}: symbolic vs concrete undetected on {regs:?}"
+            );
+        }
+        for outputs in &outputs_set {
+            for batch in regs_set.chunks(64) {
+                check_batch(model, &detection, batch, outputs, what);
+            }
+        }
+    }
+
+    /// The scheme-consistency check: on every Table-1 FSM at N ∈ {2, 3},
+    /// each scheme's detection descriptor — as the certifier's concrete
+    /// and symbolic "undetected" plus its detection ports, and as the
+    /// word-parallel oracle — classifies every codeword, single-bit
+    /// near-miss, the zero word and random register/output words exactly
+    /// like the scheme's hand-written `classify_landing`.
+    #[test]
+    fn scheme_descriptors_agree_with_hand_written_classification() {
+        for bench in scfi_opentitan::all() {
+            for n in [2, 3] {
+                let h = harden(&bench.fsm, &ScfiConfig::new(n)).unwrap();
+                check_scheme(&h, &format!("{} scfi N={n}", bench.name));
+                let r = redundancy(&bench.fsm, n).unwrap();
+                check_scheme(&r, &format!("{} redundancy N={n}", bench.name));
+            }
+            let lowered = lower_unprotected(&bench.fsm).unwrap();
+            check_scheme(&lowered, &format!("{} unprotected", bench.name));
         }
     }
 

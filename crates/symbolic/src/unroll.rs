@@ -216,7 +216,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
             },
         };
         JointReport {
-            config: self.model.config_name(),
+            config: self.model.name(),
             module: self.model.module().name().to_string(),
             sites: faults.len(),
             max_active,
@@ -257,16 +257,15 @@ impl<M: CertifyModel> Certifier<'_, M> {
             .evaluator
             .try_eval_guarded(&mut self.bdd, &regs, &inputs, &guarded)?;
 
-        let ports = self.detection_ports.clone();
         let b = &mut self.bdd;
         let mut diverge = BddRef::FALSE;
         for (&free, &bad) in self.base.next_regs.iter().zip(&faulty.next_regs) {
             let d = b.try_xor(free, bad)?;
             diverge = b.try_or(diverge, d)?;
         }
-        let undetected = self.model.undetected_next(b, &faulty.next_regs)?;
+        let undetected = self.detection.undetected(b, &faulty.next_regs)?;
         let mut alerted = BddRef::FALSE;
-        for &p in &ports {
+        for &p in &self.detection.ports {
             alerted = b.try_or(alerted, faulty.outputs[p])?;
         }
         let quiet = b.try_not(alerted)?;
@@ -345,7 +344,6 @@ impl<M: CertifyModel> Certifier<'_, M> {
         let n_inputs = self.model.module().inputs().len();
         let reg_vars: Vec<u32> = (0..n_regs).map(|i| vm.reg_current(i)).collect();
         let cycle0_inputs: Vec<u32> = (0..n_inputs).map(|i| vm.input(i)).collect();
-        let ports = self.detection_ports.clone();
 
         let mut golden: Vec<BddRef> = reg_vars
             .iter()
@@ -376,7 +374,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
             let assume_t = if t == 0 {
                 self.assumption
             } else {
-                self.model.input_assumption(&mut self.bdd, &inputs)?
+                self.detection.assumption(&mut self.bdd, &inputs)?
             };
             assume_all = self.bdd.try_and(assume_all, assume_t)?;
 
@@ -398,9 +396,9 @@ impl<M: CertifyModel> Certifier<'_, M> {
                 let d = b.try_xor(free, bad)?;
                 diverge = b.try_or(diverge, d)?;
             }
-            let undetected = self.model.undetected_next(b, &f.next_regs)?;
+            let undetected = self.detection.undetected(b, &f.next_regs)?;
             let mut alerted = BddRef::FALSE;
-            for &p in &ports {
+            for &p in &self.detection.ports {
                 alerted = b.try_or(alerted, f.outputs[p])?;
             }
             let hijack = b.try_and(diverge, undetected)?;
@@ -479,8 +477,8 @@ impl<M: CertifyModel> Certifier<'_, M> {
                 sim.clear_faults();
             }
             let state = sim.register_values().to_vec();
-            let undetected = self.model.undetected_next_concrete(&state);
-            let alerted = self.detection_ports.iter().any(|&p| out[p]);
+            let undetected = self.detection.undetected_concrete(&state);
+            let alerted = self.detection.alerted(&out);
             if alerted || !undetected {
                 caught = true;
             }

@@ -63,7 +63,8 @@ fn brute_force_escapes<M: CertifyModel>(
     j: usize,
 ) -> bool {
     let module = model.module();
-    let ports = model.detection_ports();
+    let detection = model.detection();
+    let ports = detection.alert_ports(module.outputs().len());
     let mut schedule = vec![0usize; k];
     loop {
         for start in states {
@@ -90,8 +91,8 @@ fn brute_force_escapes<M: CertifyModel>(
                     sim.clear_faults();
                 }
                 let state = sim.register_values().to_vec();
-                let undetected = model.undetected_next_concrete(&state);
-                let alerted = ports.iter().any(|&p| out[p]);
+                let undetected = detection.undetected(&state);
+                let alerted = ports.clone().any(|p| out[p]);
                 if alerted || !undetected {
                     caught = true;
                 }
