@@ -747,21 +747,31 @@ mod tests {
         }
     }
 
-    /// Fault-free trajectories classify as Masked at every cycle, for
-    /// every scheme, in the single-transition and the protocol space.
+    /// Fault-free single-transition runs classify as Masked, for every
+    /// scheme.
     #[test]
-    fn fault_free_walks_classify_as_masked_every_cycle() {
+    fn fault_free_runs_classify_as_masked() {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let r = redundancy(&f, 2).unwrap();
         let lowered = lower_unprotected(&f).unwrap();
         assert_fault_free_masked(&ScfiTarget::new(&h), 1, "scfi");
-        assert_fault_free_masked(&ScfiTarget::with_protocol(&h, 4, 11), 4, "scfi walks");
         assert_fault_free_masked(&RedundancyTarget::new(&r), 1, "redundancy");
+        assert_fault_free_masked(&UnprotectedTarget::new(&f, &lowered), 1, "unprotected");
+    }
+
+    /// Walks every protocol scenario of every scheme fault-free and checks
+    /// each cycle classifies as Masked — the N-cycle generalization of the
+    /// fault-free sanity check.
+    #[test]
+    fn fault_free_protocol_walks_classify_as_masked_every_cycle() {
+        let f = fsm();
+        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
+        let r = redundancy(&f, 2).unwrap();
+        let lowered = lower_unprotected(&f).unwrap();
+        assert_fault_free_masked(&ScfiTarget::with_protocol(&h, 4, 11), 4, "scfi walks");
         let walks = RedundancyTarget::with_protocol(&r, 4, 11);
         assert_fault_free_masked(&walks, 4, "redundancy walks");
-        let single = UnprotectedTarget::new(&f, &lowered);
-        assert_fault_free_masked(&single, 1, "unprotected");
         let walks = UnprotectedTarget::with_protocol(&f, &lowered, 4, 11);
         assert_fault_free_masked(&walks, 4, "unprotected walks");
     }
