@@ -31,7 +31,6 @@
 //! [`CampaignConfig::backend`](CampaignConfig::backend); the CLI exposes
 //! the same choice as `scfi analyze --backend scalar|packed|simd`.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use scfi_netlist::{Simulator, LANES};
@@ -39,7 +38,7 @@ use scfi_netlist::{Simulator, LANES};
 use crate::campaign::{run_item_scalar, CampaignConfig, Outcome};
 use crate::control::{CampaignError, LaneWidth, RunControl, StopReason};
 use crate::target::{FaultTarget, Scenario};
-use crate::wave::{self, RunOutput, WaveStats, WorkList};
+use crate::wave::{self, RunOutput, WavePanic, WaveStats, WorkList};
 
 /// Selects which [`CampaignBackend`] a campaign runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -186,67 +185,69 @@ impl CampaignBackend for ScalarBackend {
         let telemetry = config.telemetry_handle();
         let waves_total = telemetry.counter("scfi_campaign_waves_total");
         let injections_total = telemetry.counter("scfi_campaign_injections_total");
-        let run_range = |start: usize,
-                         out: &mut [Option<Outcome>]|
-         -> (Option<StopReason>, Vec<(Range<usize>, String)>) {
-            let mut sim = Simulator::new(target.module());
-            let mut outputs = Vec::with_capacity(target.module().outputs().len());
-            let mut cached: Option<(usize, Scenario)> = None;
-            let mut stopped = None;
-            let mut panics = Vec::new();
-            let mut done = 0usize;
-            while done < out.len() {
-                let chunk = LANES.min(out.len() - done);
-                if let Err(reason) = control.admit(chunk) {
-                    stopped = Some(reason);
-                    break;
-                }
-                waves_total.inc();
-                injections_total.add(chunk as u64);
-                let wave = catch_unwind(AssertUnwindSafe(|| {
-                    for (k, slot) in out.iter_mut().enumerate().skip(done).take(chunk) {
-                        let (scenario, faults) = work.item(start + k);
-                        if cached.as_ref().map(|c| c.0) != Some(scenario) {
-                            cached = Some((scenario, target.scenario(scenario)));
+        let origin = control.admitted();
+        let run_range =
+            |start: usize, out: &mut [Option<Outcome>]| -> (Option<StopReason>, Vec<WavePanic>) {
+                let mut sim = Simulator::new(target.module());
+                let mut outputs = Vec::with_capacity(target.module().outputs().len());
+                let mut cached: Option<(usize, Scenario)> = None;
+                let mut stopped = None;
+                let mut panics = Vec::new();
+                let mut done = 0usize;
+                while done < out.len() {
+                    let chunk = LANES.min(out.len() - done);
+                    if let Err(reason) = control.admit_at(origin + (start + done) as u64, chunk) {
+                        stopped = Some(reason);
+                        break;
+                    }
+                    waves_total.inc();
+                    injections_total.add(chunk as u64);
+                    let wave = catch_unwind(AssertUnwindSafe(|| {
+                        for (k, slot) in out.iter_mut().enumerate().skip(done).take(chunk) {
+                            let (scenario, faults) = work.item(start + k);
+                            if cached.as_ref().map(|c| c.0) != Some(scenario) {
+                                cached = Some((scenario, target.scenario(scenario)));
+                            }
+                            let (_, sc) = cached.as_ref().expect("cached scenario");
+                            *slot = Some(run_item_scalar(
+                                target,
+                                &mut sim,
+                                scenario,
+                                sc,
+                                faults,
+                                work.windows(start + k),
+                                &mut outputs,
+                            ));
                         }
-                        let (_, sc) = cached.as_ref().expect("cached scenario");
-                        *slot = Some(run_item_scalar(
-                            target,
-                            &mut sim,
-                            scenario,
-                            sc,
-                            faults,
-                            work.windows(start + k),
-                            &mut outputs,
+                    }));
+                    if let Err(payload) = wave {
+                        // Fail the whole chunk (partially computed slots
+                        // included — a poisoned wave reports no outcomes) and
+                        // restore clean per-worker scratch for the next chunk.
+                        for slot in &mut out[done..done + chunk] {
+                            *slot = None;
+                        }
+                        panics.push((
+                            std::iter::once(start + done..start + done + chunk).collect(),
+                            wave::panic_message(payload),
                         ));
+                        sim.clear_faults();
+                        cached = None;
                     }
-                }));
-                if let Err(payload) = wave {
-                    // Fail the whole chunk (partially computed slots
-                    // included — a poisoned wave reports no outcomes) and
-                    // restore clean per-worker scratch for the next chunk.
-                    for slot in &mut out[done..done + chunk] {
-                        *slot = None;
-                    }
-                    panics.push((
-                        start + done..start + done + chunk,
-                        wave::panic_message(payload),
-                    ));
-                    sim.clear_faults();
-                    cached = None;
+                    done += chunk;
                 }
-                done += chunk;
-            }
-            (stopped, panics)
-        };
+                (stopped, panics)
+            };
         let threads = config.thread_count().min(n);
         let (stopped, panics) = if threads <= 1 || n < 64 {
             run_range(0, &mut outcomes)
         } else {
             // Contiguous slot ranges per worker: each writes its own
             // disjoint outcome slice, so the result is slot-ordered by
-            // construction.
-            let per = n.div_ceil(threads);
+            // construction. Ranges are whole chunks, so the chunk
+            // boundaries (and with them what a budget admits) are the
+            // same at every thread count.
+            let per = n.div_ceil(threads).div_ceil(LANES) * LANES;
             let workers: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = outcomes
                     .chunks_mut(per)

@@ -33,6 +33,15 @@ pub enum FaultSite {
     Register(CellId),
 }
 
+impl FaultSite {
+    /// The cell the fault lands on.
+    pub fn cell(self) -> CellId {
+        match self {
+            FaultSite::CellOutput(c) | FaultSite::Pin(c, _) | FaultSite::Register(c) => c,
+        }
+    }
+}
+
 /// One injectable fault.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Fault {
@@ -43,7 +52,8 @@ pub struct Fault {
 }
 
 /// Classification of one injection (§6.4 semantics, generalized to
-/// N-cycle trajectories).
+/// N-cycle trajectories). The discriminants (0, 1, 2) index per-outcome
+/// counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Outcome {
     /// The FSM followed the intended transition (or, multi-cycle, the whole
@@ -543,7 +553,7 @@ pub(crate) fn run_item_scalar<T: FaultTarget>(
 /// first 64 hijacks (in work-list order) as examples.
 fn aggregate(work: &WorkList, outcomes: &[Outcome]) -> CampaignReport {
     let mut report = CampaignReport::empty();
-    for (i, &outcome) in outcomes.iter().enumerate() {
+    for (&outcome, (scenario, faults)) in outcomes.iter().zip(work.iter()) {
         report.injections += 1;
         match outcome {
             Outcome::Masked => report.masked += 1,
@@ -551,7 +561,6 @@ fn aggregate(work: &WorkList, outcomes: &[Outcome]) -> CampaignReport {
             Outcome::Hijack => {
                 report.hijacked += 1;
                 if report.hijack_examples.len() < 64 {
-                    let (scenario, faults) = work.item(i);
                     report.hijack_examples.push(FaultRecord {
                         scenario,
                         faults: faults.to_vec(),
@@ -580,27 +589,11 @@ pub(crate) fn try_execute_backend<T: FaultTarget>(
     }
 }
 
-/// Builds the exhaustive scenario-major work list: every scenario × every
-/// fault in the list. [`CampaignError::WorkListOverflow`] if the campaign
-/// outgrows the packed `u32` slot representation.
-pub(crate) fn try_exhaustive_work<T: FaultTarget>(
-    target: &T,
-    faults: &[Fault],
-) -> Result<WorkList, CampaignError> {
-    let scenarios = target.scenario_count();
-    let mut work = WorkList::with_capacity(scenarios * faults.len());
-    for s in 0..scenarios {
-        for fault in faults {
-            work.try_push(s, std::slice::from_ref(fault))?;
-        }
-    }
-    Ok(work)
-}
-
-/// [`try_exhaustive_work`], panicking on overflow.
+/// The exhaustive scenario-major work list: every scenario × every
+/// fault in the list, as a [`WorkList::grid`].
 #[cfg(test)]
 pub(crate) fn exhaustive_work<T: FaultTarget>(target: &T, faults: &[Fault]) -> WorkList {
-    try_exhaustive_work(target, faults).unwrap_or_else(|e| panic!("{e}"))
+    WorkList::grid(target.scenario_count(), faults.to_vec()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Exhaustive single-fault campaign: every scenario × every fault site ×
@@ -609,7 +602,9 @@ pub(crate) fn exhaustive_work<T: FaultTarget>(target: &T, faults: &[Fault]) -> W
 /// Runs on the [`CampaignBackend`] selected by [`CampaignConfig::backend`]
 /// (default: the bit-parallel packed wave engine, up to 256 injections per
 /// netlist pass, sharded across [`CampaignConfig::threads`] workers with
-/// early exit for waves whose lanes have all folded to terminal verdicts).
+/// early exit for waves whose lanes have all folded to terminal verdicts;
+/// single-cycle scenarios run fault-major, one fault per wave settled
+/// through its fanout cone only).
 /// Every backend produces injection-for-injection the same report; the
 /// workspace conformance suite pins them against each other on every
 /// Table-1 FSM at every wave width.
@@ -642,9 +637,14 @@ pub fn run_exhaustive<T: FaultTarget>(target: &T, config: &CampaignConfig) -> Ca
 /// [`CampaignError::Interrupted`] carries a
 /// [`PartialReport`](crate::PartialReport) whose completed slots are
 /// byte-identical to the same slots of an uninterrupted run — at any
-/// thread count, on any backend. A panicking wave is isolated to its item
-/// range and surfaces as [`CampaignError::WorkerPanic`] with the rest of
-/// the campaign completed.
+/// thread count, on any backend. An injection budget completes a prefix
+/// of the run's fixed *wave* order — the same waves, and so the same
+/// partial report, at every thread count: a prefix of the slots when
+/// waves are scenario-major, and every scenario of the earlier blocks
+/// plus the first faults of the last block when the single-cycle grid
+/// runs fault-major. A panicking wave is isolated to its slots and
+/// surfaces as [`CampaignError::WorkerPanic`] with the rest of the
+/// campaign completed.
 ///
 /// # Example
 ///
@@ -660,7 +660,7 @@ pub fn run_exhaustive<T: FaultTarget>(target: &T, config: &CampaignConfig) -> Ca
 /// // Unlimited control behaves exactly like `run_exhaustive`…
 /// let full = try_run_exhaustive(&target, &CampaignConfig::new(), &RunControl::unlimited())?;
 ///
-/// // …while an exhausted injection budget yields the completed prefix.
+/// // …while an exhausted injection budget yields the waves that fit it.
 /// let control = RunControl::unlimited().with_injection_budget(64);
 /// let err = try_run_exhaustive(&target, &CampaignConfig::new(), &control).unwrap_err();
 /// let CampaignError::Interrupted { partial, .. } = err else { panic!("interrupted") };
@@ -673,9 +673,16 @@ pub fn try_run_exhaustive<T: FaultTarget>(
     config: &CampaignConfig,
     control: &RunControl,
 ) -> Result<CampaignReport, CampaignError> {
-    let faults = fault_list(target, config);
-    let work = try_exhaustive_work(target, &faults)?;
-    let outcomes = try_execute_backend(target, &work, config, control)?;
+    let telemetry = config.telemetry_handle();
+    let work = {
+        let _span = telemetry.span("worklist");
+        WorkList::grid(target.scenario_count(), fault_list(target, config))?
+    };
+    let outcomes = {
+        let _span = telemetry.span("execute");
+        try_execute_backend(target, &work, config, control)?
+    };
+    let _span = telemetry.span("aggregate");
     Ok(aggregate(&work, &outcomes))
 }
 
@@ -1158,6 +1165,37 @@ mod tests {
                 &run_multi_fault(&t, 2, 200, &config.clone().backend(backend)),
                 backend.name(),
             );
+        }
+    }
+
+    /// An injection budget admits the same waves whatever the thread
+    /// count and timing: the same budgeted campaign, run twice at 1 and
+    /// at 4 threads, stops with identical partial reports on every
+    /// backend (formerly the workers raced for the budget).
+    #[test]
+    fn budgeted_campaigns_stop_identically_at_any_thread_count() {
+        let f = fsm();
+        let h = harden(&f, &ScfiConfig::new(3)).unwrap();
+        let t = ScfiTarget::new(&h);
+        for backend in Backend::ALL {
+            let config = CampaignConfig::new().with_pin_faults().backend(backend);
+            let total = run_exhaustive(&t, &config).injections as u64;
+            for budget in [100, total / 3, total - 1] {
+                let partials: Vec<_> = [1, 4, 1, 4]
+                    .into_iter()
+                    .map(|threads| {
+                        let control = RunControl::unlimited().with_injection_budget(budget);
+                        match try_run_exhaustive(&t, &config.clone().threads(threads), &control) {
+                            Err(CampaignError::Interrupted { partial, .. }) => partial,
+                            other => panic!("{backend} budget {budget}: {other:?}"),
+                        }
+                    })
+                    .collect();
+                assert!(partials[0].completed as u64 <= budget);
+                for p in &partials[1..] {
+                    assert_eq!(p, &partials[0], "{backend} budget {budget}");
+                }
+            }
         }
     }
 

@@ -199,14 +199,7 @@ impl RunControl {
     /// Budget accounting is a compare-and-swap loop, so concurrent
     /// workers can never jointly over-admit the injection budget.
     pub fn admit(&self, items: usize) -> Result<(), StopReason> {
-        if self.inner.cancel.load(Ordering::Relaxed) {
-            return Err(StopReason::Cancelled);
-        }
-        if let Some(deadline) = self.inner.deadline {
-            if Instant::now() >= deadline {
-                return Err(StopReason::DeadlineExpired);
-            }
-        }
+        self.check_time()?;
         let items = items as u64;
         if let Some(budget) = self.inner.injection_budget {
             let mut current = self.inner.injected.load(Ordering::Relaxed);
@@ -230,6 +223,38 @@ impl RunControl {
             // job server reports it while a campaign is in flight).
             self.inner.injected.fetch_add(items, Ordering::Relaxed);
         }
+        Ok(())
+    }
+
+    /// The cancellation and deadline checks shared by both admissions.
+    fn check_time(&self) -> Result<(), StopReason> {
+        if self.inner.cancel.load(Ordering::Relaxed) {
+            return Err(StopReason::Cancelled);
+        }
+        match self.inner.deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(StopReason::DeadlineExpired),
+            _ => Ok(()),
+        }
+    }
+
+    /// [`admit`](Self::admit) for the wave at a fixed place in a run's
+    /// wave order: the wave covering injections `offset..offset + items`
+    /// of that order, where `offset` also counts what the control
+    /// [`admitted`](Self::admitted) before the run began. Under an
+    /// injection budget the answer depends on that place alone — the
+    /// budget admits exactly the waves that end within it, in whatever
+    /// order concurrent workers ask — so a budgeted run completes the
+    /// same waves at every thread count. Cancellation and the deadline
+    /// stay timing-based. Every backend admits its waves this way.
+    pub fn admit_at(&self, offset: u64, items: usize) -> Result<(), StopReason> {
+        self.check_time()?;
+        let items = items as u64;
+        if let Some(budget) = self.inner.injection_budget {
+            if offset.saturating_add(items) > budget {
+                return Err(StopReason::InjectionBudgetExhausted);
+            }
+        }
+        self.inner.injected.fetch_add(items, Ordering::Relaxed);
         Ok(())
     }
 
@@ -277,7 +302,7 @@ impl PartialReport {
     pub fn from_outcomes(work: &WorkList, outcomes: Vec<Option<Outcome>>) -> PartialReport {
         let mut report = CampaignReport::empty();
         let mut completed = 0usize;
-        for (i, outcome) in outcomes.iter().enumerate() {
+        for (outcome, (scenario, faults)) in outcomes.iter().zip(work.iter()) {
             let Some(outcome) = outcome else { continue };
             completed += 1;
             report.injections += 1;
@@ -287,7 +312,6 @@ impl PartialReport {
                 Outcome::Hijack => {
                     report.hijacked += 1;
                     if report.hijack_examples.len() < 64 {
-                        let (scenario, faults) = work.item(i);
                         report.hijack_examples.push(FaultRecord {
                             scenario,
                             faults: faults.to_vec(),
@@ -323,15 +347,18 @@ pub enum CampaignError {
         /// it every `Result` on the campaign path) small.
         partial: Box<PartialReport>,
     },
-    /// A worker panicked while executing one wave. Only that wave's item
-    /// range failed; every other wave of the campaign completed.
+    /// A worker panicked while executing one or more waves. Only those
+    /// waves' slots failed; every other wave of the campaign completed.
     WorkerPanic {
-        /// The work-list slots of the poisoned wave (left `None` in the
-        /// partial report).
-        item_range: Range<usize>,
-        /// The captured panic payload.
+        /// Exactly the work-list slots the poisoned waves left `None` in
+        /// the partial report, as sorted, disjoint, non-adjacent ranges.
+        /// A scenario-major wave is one range; a fault-major wave of an
+        /// exhaustive grid covers a few faults of each scenario in its
+        /// block, one range per scenario.
+        item_ranges: Vec<Range<usize>>,
+        /// The captured panic payload of the lowest poisoned slot's wave.
         message: String,
-        /// Everything outside the poisoned wave.
+        /// Everything outside the poisoned waves.
         partial: Box<PartialReport>,
     },
     /// A lane-word width outside the packed engine's {1, 2, 4} set was
@@ -359,17 +386,31 @@ impl fmt::Display for CampaignError {
                 partial.total()
             ),
             CampaignError::WorkerPanic {
-                item_range,
+                item_ranges,
                 message,
                 partial,
-            } => write!(
-                f,
-                "campaign worker panicked on items {}..{} ({} of {} other injections completed): {message}",
-                item_range.start,
-                item_range.end,
-                partial.completed,
-                partial.total()
-            ),
+            } => {
+                let failed: usize = item_ranges.iter().map(ExactSizeIterator::len).sum();
+                write!(f, "campaign worker panicked on ")?;
+                match &item_ranges[..] {
+                    [r] => write!(f, "items {}..{}", r.start, r.end)?,
+                    ranges => {
+                        write!(f, "{failed} items in {} ranges (", ranges.len())?;
+                        for (i, r) in ranges.iter().take(3).enumerate() {
+                            let sep = if i == 0 { "" } else { ", " };
+                            write!(f, "{sep}{}..{}", r.start, r.end)?;
+                        }
+                        let more = if ranges.len() > 3 { ", …" } else { "" };
+                        write!(f, "{more})")?;
+                    }
+                }
+                write!(
+                    f,
+                    " ({} of {} other injections completed): {message}",
+                    partial.completed,
+                    partial.total()
+                )
+            }
             CampaignError::InvalidLaneWords { requested } => write!(
                 f,
                 "lane_words must be 1, 2 or 4 words (64/128/256 lanes), got {requested}"
@@ -483,17 +524,29 @@ mod tests {
             limit: u32::MAX as usize,
         };
         assert!(overflow.to_string().contains("split the campaign"));
+        let partial = Box::new(PartialReport {
+            outcomes: vec![],
+            completed: 0,
+            report: CampaignReport::empty(),
+        });
         let panic = CampaignError::WorkerPanic {
-            item_range: 64..128,
+            item_ranges: std::iter::once(64..128).collect(),
             message: "scenario 3 has no cycles".into(),
-            partial: Box::new(PartialReport {
-                outcomes: vec![],
-                completed: 0,
-                report: CampaignReport::empty(),
-            }),
+            partial: partial.clone(),
         };
         let msg = panic.to_string();
-        assert!(msg.contains("64..128"), "{msg}");
+        assert!(msg.contains("items 64..128"), "{msg}");
         assert!(msg.contains("has no cycles"), "{msg}");
+        // A fault-major wave's strided slots: counted, the first few named.
+        let strided = CampaignError::WorkerPanic {
+            item_ranges: (0..5).map(|s| s * 100 + 8..s * 100 + 12).collect(),
+            message: "boom".into(),
+            partial,
+        };
+        let msg = strided.to_string();
+        assert!(
+            msg.contains("20 items in 5 ranges (8..12, 108..112, 208..212, …)"),
+            "{msg}"
+        );
     }
 }

@@ -92,6 +92,7 @@
 mod backend;
 mod campaign;
 mod control;
+mod grid;
 mod oracle;
 mod scheme;
 mod target;

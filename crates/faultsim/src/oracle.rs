@@ -70,6 +70,10 @@ pub struct WaveOracle {
     /// landings and judge purely by the alert).
     invalid_is_detected: bool,
     alert: AlertModel,
+    /// Bitset over every decode-window value (bit `i` of the window is
+    /// bit `i` of the index) marking the codewords, when the window is at
+    /// most [`WaveOracle::TABLE_BITS`] wide; empty otherwise.
+    valid_table: Vec<u64>,
 }
 
 impl WaveOracle {
@@ -91,13 +95,28 @@ impl WaveOracle {
             codewords.iter().all(|w| w.len() == width),
             "codewords must share one width"
         );
+        let mut valid_table = Vec::new();
+        if width <= Self::TABLE_BITS {
+            valid_table = vec![0u64; (1usize << width).div_ceil(64)];
+            for cw in &codewords {
+                let key = (0..width)
+                    .filter(|&i| cw[i])
+                    .fold(0usize, |k, i| k | 1 << i);
+                valid_table[key / 64] |= 1 << (key % 64);
+            }
+        }
         WaveOracle {
             codewords,
             zero_is_error,
             invalid_is_detected,
             alert,
+            valid_table,
         }
     }
+
+    /// The widest decode window [`WaveOracle::classify_lanes`] looks up
+    /// lane by lane in a table (8 KiB) instead of scanning the codebook.
+    const TABLE_BITS: usize = 16;
 
     /// Registers participating in the decode (a prefix of the module's
     /// register order).
@@ -177,6 +196,22 @@ impl WaveOracle {
         regs: &[[u64; W]],
         outputs: &[[u64; W]],
     ) -> u64 {
+        let mut detected = self.alarm_word(word, regs, outputs);
+        if self.invalid_is_detected {
+            detected |= !self.valid_word(word, regs);
+        }
+        detected
+    }
+
+    /// The cheap part of [`WaveOracle::detected_word`]: alert lines,
+    /// replica-bank disagreement and (per the flags) the all-zero ERROR
+    /// pattern — everything but the codebook scan.
+    fn alarm_word<const W: usize>(
+        &self,
+        word: usize,
+        regs: &[[u64; W]],
+        outputs: &[[u64; W]],
+    ) -> u64 {
         let mut detected = 0u64;
         for port in self.alert_ports(outputs.len()) {
             detected |= outputs[port][word];
@@ -200,14 +235,80 @@ impl WaveOracle {
             }
             detected |= zero;
         }
-        if self.invalid_is_detected {
-            let mut valid = 0u64;
-            for cw in &self.codewords {
-                valid |= Self::eq_word(cw, word, regs);
-            }
-            detected |= !valid;
-        }
         detected
+    }
+
+    /// The codebook scan: lanes of `word` whose decode window matches
+    /// some codeword.
+    fn valid_word<const W: usize>(&self, word: usize, regs: &[[u64; W]]) -> u64 {
+        let mut valid = 0u64;
+        for cw in &self.codewords {
+            valid |= Self::eq_word(cw, word, regs);
+        }
+        valid
+    }
+
+    /// [`WaveOracle::valid_word`] restricted to `lanes`: a table lookup
+    /// per lane when the window is narrow and the lanes are fewer than the
+    /// codewords, the codebook scan otherwise.
+    fn valid_lanes<const W: usize>(&self, word: usize, regs: &[[u64; W]], lanes: u64) -> u64 {
+        if self.valid_table.is_empty() || lanes.count_ones() as usize >= self.codewords.len() {
+            return self.valid_word(word, regs) & lanes;
+        }
+        let window = &regs[..self.decode_width()];
+        let mut valid = 0u64;
+        let mut bits = lanes;
+        while bits != 0 {
+            let lane = bits.trailing_zeros();
+            bits &= bits - 1;
+            let key = window.iter().enumerate().fold(0usize, |k, (i, r)| {
+                k | (((r[word] >> lane) & 1) as usize) << i
+            });
+            valid |= ((self.valid_table[key / 64] >> (key % 64)) & 1) << lane;
+        }
+        valid
+    }
+
+    /// Packs per-lane expected states into the `expected` words of
+    /// [`WaveOracle::classify_lanes`]: bit `l` of word `i` is bit `i` of
+    /// lane `l`'s expected codeword, for lanes `0..states.len()`.
+    pub fn expected_words<const W: usize>(&self, states: &[usize]) -> Vec<[u64; W]> {
+        let mut words = vec![[0u64; W]; self.decode_width()];
+        for (lane, &state) in states.iter().enumerate() {
+            for (bits, &bit) in words.iter_mut().zip(&self.codewords[state]) {
+                if bit {
+                    bits[lane / 64] |= 1 << (lane % 64);
+                }
+            }
+        }
+        words
+    }
+
+    /// Classifies lanes `live` of one packed word whose expected states
+    /// differ lane by lane (`expected` from
+    /// [`WaveOracle::expected_words`]). Returns the same `(detected,
+    /// hijack)` masks as [`WaveOracle::classify_word`] over
+    /// [`WaveOracle::detected_word`], but runs the codebook scan only when
+    /// some live lane is off target with no cheaper alarm — an on-target
+    /// lane holds a codeword, and an alarmed lane is detected either way.
+    pub fn classify_lanes<const W: usize>(
+        &self,
+        word: usize,
+        live: u64,
+        regs: &[[u64; W]],
+        outputs: &[[u64; W]],
+        expected: &[[u64; W]],
+    ) -> (u64, u64) {
+        let mut detected = self.alarm_word(word, regs, outputs);
+        let mut on_target = !0u64;
+        for (reg, exp) in regs.iter().zip(expected) {
+            on_target &= !(reg[word] ^ exp[word]);
+        }
+        let unresolved = live & !detected & !on_target;
+        if self.invalid_is_detected && unresolved != 0 {
+            detected |= unresolved & !self.valid_lanes(word, regs, unresolved);
+        }
+        (live & detected, live & !detected & !on_target)
     }
 
     /// Classifies the live lanes of one scenario group within one packed
@@ -320,6 +421,59 @@ mod tests {
         let (d, h) = o.classify_word(det, 0, 0, 0b11, &regs);
         assert_eq!(d, 0b10);
         assert_eq!(h, 0);
+    }
+
+    /// `classify_lanes` with a different expected state per lane equals
+    /// `classify_word` over `detected_word` lane by lane, for every flag
+    /// and alert model, whether it looks windows up in its table or scans
+    /// the codebook.
+    #[test]
+    fn per_lane_expectations_match_per_group_classification() {
+        let codewords = vec![
+            vec![true, false, true],
+            vec![false, true, true],
+            vec![true, true, true],
+        ];
+        // 64 lanes: every 3-bit window, each paired with every expected
+        // state, plus a lane-dependent alert on the last output.
+        let lanes = 64;
+        let state_of = |lane: usize| lane % 3;
+        let window = |lane: usize| lane / 3 % 8;
+        let regs: Vec<[u64; 1]> = (0..4)
+            .map(|bit| {
+                let mut w = 0u64;
+                for lane in 0..lanes {
+                    // Register 3 sits outside the decode window.
+                    let on = if bit < 3 {
+                        window(lane) >> bit & 1 == 1
+                    } else {
+                        lane % 5 == 0
+                    };
+                    w |= (on as u64) << lane;
+                }
+                [w]
+            })
+            .collect();
+        let outs = vec![[0u64], [0u64], [0x0F0F_0000_0000_00F0u64]];
+        let states: Vec<usize> = (0..lanes).map(state_of).collect();
+        for (zero, invalid, alert) in [
+            (true, true, AlertModel::LastTwoOutputs),
+            (false, false, AlertModel::None),
+            (false, true, AlertModel::BankMismatch { state_bits: 2 }),
+        ] {
+            let o = WaveOracle::new(codewords.clone(), zero, invalid, alert);
+            let expected = o.expected_words::<1>(&states);
+            let det = o.detected_word(0, &regs, &outs);
+            for live in [!0u64, 0x5555_0000_FFFF_0001, 1 << 7] {
+                let (d, h) = o.classify_lanes(0, live, &regs, &outs, &expected);
+                for lane in 0..lanes {
+                    let bit = 1u64 << lane;
+                    let (gd, gh) = o.classify_word(det, state_of(lane), 0, live & bit, &regs);
+                    assert_eq!(d & bit, gd, "lane {lane} detected");
+                    assert_eq!(h & bit, gh, "lane {lane} hijack");
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,11 +60,28 @@
 //! byte-identical to the scalar reference — the differential suites assert
 //! this at every width.
 //!
-//! Waves are sharded across threads in contiguous blocks. The outcome of
-//! item `i` is written to slot `i` regardless of which thread, wave or
-//! lane computed it, so results are deterministic: independent of the
-//! thread count, the lane-word width, the wave boundaries and the lane
-//! order.
+//! # Fault-major grids
+//!
+//! Everything above is *scenario-major*: a wave is 64·W consecutive
+//! slots, each lane with its own fault, so every wave settles the whole
+//! netlist. An exhaustive campaign's list is a [`WorkList::grid`]; when
+//! every grid scenario is a single cycle that arms at cycle 0 (every
+//! `analyze` without `--protocol`/`--multi`), the executor hands it to
+//! the fault-major path of `grid.rs` instead: each block of up to 64·W
+//! scenarios is settled fault-free once into a baseline
+//! ([`PackedSimulator::capture_baseline`]), and each wave arms one fault
+//! across the block's lanes and evaluates only its fanout cone
+//! ([`PackedSimulator::eval_cone`]). Outcomes land in the same
+//! scenario-major slots.
+//!
+//! Waves are sharded across threads in contiguous blocks (fault-major
+//! grids: by fault range within every block). The outcome of item `i`
+//! is written to slot `i` regardless of which thread, wave or lane
+//! computed it, so results are deterministic: independent of the thread
+//! count, the lane-word width, the wave boundaries and the lane order.
+//! Each wave is admitted at its fixed place in the run's wave order
+//! ([`RunControl::admit_at`]), so an injection budget stops at the same
+//! waves at every thread count too.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,6 +93,7 @@ use scfi_telemetry::{Histogram, Telemetry};
 
 use crate::campaign::{Fault, FaultEffect, FaultSite, Outcome};
 use crate::control::{CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
+use crate::grid;
 use crate::target::{FaultTarget, FaultTiming, Scenario};
 
 /// A flat `(scenario, faults)` work list: item `i` injects the fault group
@@ -87,8 +105,15 @@ use crate::target::{FaultTarget, FaultTiming, Scenario};
 /// Campaign drivers build scenario-major lists (all faults of scenario 0,
 /// then scenario 1, …), which the wave executor exploits; correctness does
 /// not depend on the ordering.
+///
+/// An exhaustive campaign's list is a [`grid`](Self::grid): every
+/// scenario × one fault list, scenario-major, with item `i` computed as
+/// `(i / F, faults[i % F])` instead of stored.
 #[derive(Clone, Debug)]
 pub struct WorkList {
+    /// `Some(scenario count)` for a grid, whose fault list is `faults`
+    /// and whose other vectors stay empty.
+    grid: Option<usize>,
     scenarios: Vec<u32>,
     /// Prefix offsets into `faults`, one extra entry at the end.
     offsets: Vec<u32>,
@@ -100,10 +125,18 @@ pub struct WorkList {
     windows: Vec<Option<FaultTiming>>,
 }
 
+/// The window overrides of a single-fault item without any.
+const NO_OVERRIDE: &[Option<FaultTiming>] = &[None];
+
 impl WorkList {
+    /// The most items (and accumulated faults) a list holds: its packed
+    /// `u32` representation.
+    const LIMIT: usize = u32::MAX as usize;
+
     /// An empty work list with room for `items` entries.
     pub fn with_capacity(items: usize) -> Self {
         let mut w = WorkList {
+            grid: None,
             scenarios: Vec::with_capacity(items),
             offsets: Vec::with_capacity(items + 1),
             faults: Vec::with_capacity(items),
@@ -111,6 +144,50 @@ impl WorkList {
         };
         w.offsets.push(0);
         w
+    }
+
+    /// The exhaustive grid: every scenario in `0..scenarios` × every fault
+    /// of `faults`, scenario-major — item `i` is
+    /// `(i / faults.len(), [faults[i % faults.len()]])` with no window
+    /// overrides. Nothing per item is stored, and the wave executor runs
+    /// grids of single-cycle scenarios fault-major, one fault per wave
+    /// through its fanout cone. [`CampaignError::WorkListOverflow`] if
+    /// the item count exceeds the `u32` limit a stored list has (so
+    /// [`try_push`](Self::try_push) can always store the grid).
+    pub fn grid(scenarios: usize, faults: Vec<Fault>) -> Result<Self, CampaignError> {
+        let items = scenarios.saturating_mul(faults.len());
+        if items > Self::LIMIT {
+            return Err(CampaignError::WorkListOverflow {
+                items,
+                limit: Self::LIMIT,
+            });
+        }
+        Ok(WorkList {
+            grid: Some(scenarios),
+            scenarios: Vec::new(),
+            offsets: Vec::new(),
+            faults,
+            windows: Vec::new(),
+        })
+    }
+
+    /// `(scenario count, fault list)` of a [`grid`](Self::grid) list.
+    pub(crate) fn grid_shape(&self) -> Option<(usize, &[Fault])> {
+        self.grid.map(|s| (s, &self.faults[..]))
+    }
+
+    /// Turns a grid into the equivalent stored list (before a push).
+    fn materialize(&mut self) {
+        let Some(scenarios) = self.grid.take() else {
+            return;
+        };
+        let faults = std::mem::take(&mut self.faults);
+        *self = WorkList::with_capacity(scenarios * faults.len());
+        for s in 0..scenarios {
+            for fault in &faults {
+                self.push(s, std::slice::from_ref(fault));
+            }
+        }
     }
 
     /// Appends one item injecting `faults` simultaneously into `scenario`.
@@ -131,20 +208,21 @@ impl WorkList {
     /// index or the accumulated fault count exceeds the packed `u32`
     /// representation (about 4.29 billion entries) — a campaign that
     /// large must be split into sub-campaigns rather than silently wrap
-    /// and attribute outcomes to the wrong scenarios.
+    /// and attribute outcomes to the wrong scenarios. Pushing onto a
+    /// [`grid`](Self::grid) first stores its items.
     pub fn try_push(&mut self, scenario: usize, faults: &[Fault]) -> Result<(), CampaignError> {
-        const LIMIT: usize = u32::MAX as usize;
+        self.materialize();
         let Ok(scenario) = u32::try_from(scenario) else {
             return Err(CampaignError::WorkListOverflow {
                 items: scenario,
-                limit: LIMIT,
+                limit: Self::LIMIT,
             });
         };
         let end = self.faults.len() + faults.len();
         let Ok(end) = u32::try_from(end) else {
             return Err(CampaignError::WorkListOverflow {
                 items: end,
-                limit: LIMIT,
+                limit: Self::LIMIT,
             });
         };
         self.scenarios.push(scenario);
@@ -196,19 +274,38 @@ impl WorkList {
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.scenarios.len()
+        match self.grid {
+            Some(scenarios) => scenarios * self.faults.len(),
+            None => self.scenarios.len(),
+        }
     }
 
     /// Whether the list holds no items.
     pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
+        self.len() == 0
     }
 
     /// The `(scenario, faults)` of item `i`.
     pub fn item(&self, i: usize) -> (usize, &[Fault]) {
+        if self.grid.is_some() {
+            let f = i % self.faults.len();
+            return (i / self.faults.len(), &self.faults[f..f + 1]);
+        }
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         (self.scenarios[i] as usize, &self.faults[lo..hi])
+    }
+
+    /// Every item in slot order — [`item`](Self::item) for `0..len()`,
+    /// without a division per grid item.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[Fault])> + '_ {
+        let (grid, listed) = match self.grid {
+            Some(scenarios) => (scenarios, 0),
+            None => (0, self.len()),
+        };
+        (0..grid)
+            .flat_map(move |s| self.faults.chunks(1).map(move |f| (s, f)))
+            .chain((0..listed).map(move |i| self.item(i)))
     }
 
     /// Item `i`'s per-fault window overrides, parallel to its fault group
@@ -216,6 +313,9 @@ impl WorkList {
     /// `j`'s effective window with
     /// [`Scenario::fault_window`](crate::Scenario::fault_window).
     pub fn windows(&self, i: usize) -> &[Option<FaultTiming>] {
+        if self.grid.is_some() {
+            return NO_OVERRIDE;
+        }
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         &self.windows[lo..hi]
@@ -299,7 +399,11 @@ impl WaveStats {
 
 /// Arms one fault in the selected lanes of a packed simulator. Mirrors the
 /// scalar [`arm`](crate::campaign::arm) mapping exactly.
-fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lanes: [u64; W]) {
+pub(crate) fn arm_lanes<const W: usize>(
+    sim: &mut PackedSimulator<'_, W>,
+    fault: Fault,
+    lanes: [u64; W],
+) {
     match (fault.site, fault.effect) {
         (FaultSite::CellOutput(c), FaultEffect::Flip) => sim.set_net_flip(c.net(), lanes),
         (FaultSite::CellOutput(c), FaultEffect::Stuck0) => sim.set_net_stuck(c.net(), false, lanes),
@@ -332,6 +436,9 @@ fn width_from_words(lane_words: usize) -> LaneWidth {
     }
 }
 
+/// A caught wave panic: the slots the wave left `None`, and its message.
+pub(crate) type WavePanic = (Vec<Range<usize>>, String);
+
 /// Everything one controlled run produced: slot-ordered outcomes
 /// (`None` for items whose wave never ran or panicked), execution
 /// counters, the first stop reason, and any caught wave panics.
@@ -339,7 +446,7 @@ pub(crate) struct RunOutput {
     pub outcomes: Vec<Option<Outcome>>,
     pub stats: WaveStats,
     pub stopped: Option<StopReason>,
-    pub panics: Vec<(Range<usize>, String)>,
+    pub panics: Vec<WavePanic>,
 }
 
 /// Extracts a printable message from a caught panic payload (as returned
@@ -370,9 +477,21 @@ pub(crate) fn finish_run(
         mut panics,
     } = run;
     if !panics.is_empty() {
-        let (item_range, message) = panics.remove(0);
+        // Name every poisoned slot; report the message of the wave that
+        // owns the lowest one (independent of worker timing).
+        panics.sort_by_key(|(slots, _)| slots.first().map_or(usize::MAX, |r| r.start));
+        let message = panics[0].1.clone();
+        let mut ranges: Vec<Range<usize>> = panics.into_iter().flat_map(|(r, _)| r).collect();
+        ranges.sort_by_key(|r| r.start);
+        let mut item_ranges: Vec<Range<usize>> = Vec::with_capacity(ranges.len());
+        for r in ranges.into_iter().filter(|r| !r.is_empty()) {
+            match item_ranges.last_mut() {
+                Some(last) if last.end == r.start => last.end = r.end,
+                _ => item_ranges.push(r),
+            }
+        }
         return Err(CampaignError::WorkerPanic {
-            item_range,
+            item_ranges,
             message,
             partial: Box::new(PartialReport::from_outcomes(work, outcomes)),
         });
@@ -488,7 +607,7 @@ pub(crate) fn try_execute_counting<T: FaultTarget>(
 struct WorkerRun {
     stats: WaveStats,
     stopped: Option<StopReason>,
-    panics: Vec<(Range<usize>, String)>,
+    panics: Vec<WavePanic>,
 }
 
 /// Monomorphized executor body for one wave width.
@@ -525,9 +644,32 @@ fn execute_waves<T: FaultTarget, const W: usize>(
             &owned
         }
     };
+    if let Some((scenarios, faults)) = work.grid_shape() {
+        let oracle = target.wave_oracle().is_some();
+        if let Some(all) = grid::single_cycle_scenarios(target, scenarios, compiled, oracle) {
+            let (stats, stopped, panics) = grid::execute_grid::<T, W>(
+                target,
+                compiled,
+                &all,
+                faults,
+                threads,
+                control,
+                &cone_sizes,
+                &mut outcomes,
+            );
+            stats.flush(telemetry);
+            return RunOutput {
+                outcomes,
+                stats,
+                stopped,
+                panics,
+            };
+        }
+    }
     let wave_lanes = LANES * W;
     let waves = n.div_ceil(wave_lanes);
     let threads = threads.max(1).min(waves);
+    let origin = control.admitted();
     let workers: Vec<WorkerRun> = if threads <= 1 {
         vec![run_waves::<T, W>(
             target,
@@ -536,6 +678,7 @@ fn execute_waves<T: FaultTarget, const W: usize>(
             0,
             &mut outcomes,
             control,
+            origin,
             &cone_sizes,
         )]
     } else {
@@ -557,6 +700,7 @@ fn execute_waves<T: FaultTarget, const W: usize>(
                             t * per,
                             chunk,
                             control,
+                            origin,
                             cone_sizes,
                         )
                     })
@@ -645,6 +789,7 @@ fn run_waves<T: FaultTarget, const W: usize>(
     base: usize,
     out: &mut [Option<Outcome>],
     control: &RunControl,
+    origin: u64,
     cone_sizes: &Histogram,
 ) -> WorkerRun {
     let wave_lanes = LANES * W;
@@ -662,19 +807,23 @@ fn run_waves<T: FaultTarget, const W: usize>(
     // carried over so a scenario spanning a wave boundary is not rebuilt.
     let mut scens: Vec<SlotCache> = Vec::new();
     let mut lane_scen = vec![0usize; wave_lanes];
+    // Each lane's fault group and window overrides, looked up once per
+    // wave instead of once per lane per cycle.
+    let mut lane_items: Vec<(&[Fault], &[Option<FaultTiming>])> = vec![(&[], &[]); wave_lanes];
     let mut verdicts = vec![Outcome::Masked; wave_lanes];
     // Per-slot masks of this cycle's live lanes, rebuilt every cycle.
     let mut slot_live: Vec<[u64; W]> = Vec::new();
     let mut stats = WaveStats::default();
     let mut stopped = None;
-    let mut panics: Vec<(Range<usize>, String)> = Vec::new();
+    let mut panics: Vec<WavePanic> = Vec::new();
 
     let mut done = 0usize;
     while done < out.len() {
         let lanes = wave_lanes.min(out.len() - done);
         // The only control check of the engine: once per wave, off the
-        // per-gate and per-cycle hot paths.
-        if let Err(reason) = control.admit(lanes) {
+        // per-gate and per-cycle hot paths, at the wave's place in slot
+        // order so a budget admits the same waves at any thread count.
+        if let Err(reason) = control.admit_at(origin + (base + done) as u64, lanes) {
             stopped = Some(reason);
             break;
         }
@@ -684,7 +833,8 @@ fn run_waves<T: FaultTarget, const W: usize>(
             reg_words.fill([0; W]);
             let mut wave_cycles = 0usize;
             for (lane, slot_out) in lane_scen.iter_mut().enumerate().take(lanes) {
-                let (scenario, _) = work.item(base + done + lane);
+                let (scenario, faults) = work.item(base + done + lane);
+                lane_items[lane] = (faults, work.windows(base + done + lane));
                 // Scenario-major ordering means consecutive lanes almost
                 // always share the wave's most recent scenario: check the last
                 // slot first and fall back to the (short) linear scan only on
@@ -773,8 +923,7 @@ fn run_waves<T: FaultTarget, const W: usize>(
                             }
                         }
                     }
-                    let (_, faults) = work.item(base + done + lane);
-                    let overrides = work.windows(base + done + lane);
+                    let (faults, overrides) = lane_items[lane];
                     for (j, &f) in faults.iter().enumerate() {
                         let w = sc.fault_window(overrides, j);
                         if matches!(f.site, FaultSite::Register(_)) {
@@ -810,8 +959,7 @@ fn run_waves<T: FaultTarget, const W: usize>(
                             continue;
                         }
                         let bit = lane_mask::<W>(lane);
-                        let (_, faults) = work.item(base + done + lane);
-                        let overrides = work.windows(base + done + lane);
+                        let (faults, overrides) = lane_items[lane];
                         for (j, &f) in faults.iter().enumerate() {
                             if !matches!(f.site, FaultSite::Register(_))
                                 && sc.fault_window(overrides, j).armed_at(cycle)
@@ -943,7 +1091,10 @@ fn run_waves<T: FaultTarget, const W: usize>(
                 // (fault masks, scenario caches) and continue — the next
                 // wave reloads registers, verdicts and masks from scratch
                 // by construction, so it is unaffected.
-                panics.push((base + done..base + done + lanes, panic_message(payload)));
+                panics.push((
+                    std::iter::once(base + done..base + done + lanes).collect(),
+                    panic_message(payload),
+                ));
                 sim.clear_faults();
                 scens.clear();
             }
@@ -1062,6 +1213,37 @@ mod tests {
         assert!(matches!(err, CampaignError::WorkListOverflow { .. }));
         assert!(err.to_string().contains("split the campaign"));
         assert!(w.is_empty(), "failed push must not mutate the list");
+    }
+
+    /// A grid reads item for item like the stored scenario-major list it
+    /// replaces, still does after a push stores it, and refuses more
+    /// items than a stored list can hold.
+    #[test]
+    fn grids_read_like_the_stored_list() {
+        let f = target_fsm();
+        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
+        let t = ScfiTarget::new(&h);
+        let faults = fault_list(&t, &CampaignConfig::new());
+        let grid = WorkList::grid(t.scenario_count(), faults.clone()).unwrap();
+        let mut stored = WorkList::with_capacity(0);
+        for s in 0..t.scenario_count() {
+            for fault in &faults {
+                stored.push(s, std::slice::from_ref(fault));
+            }
+        }
+        let same_items = |a: &WorkList, b: &WorkList| {
+            a.len() == b.len()
+                && (0..a.len()).all(|i| a.item(i) == b.item(i) && a.windows(i) == b.windows(i))
+        };
+        assert!(same_items(&grid, &stored));
+        assert!(grid.iter().eq(stored.iter()));
+        let mut pushed = grid.clone();
+        pushed.push(1, &faults[..2]);
+        stored.push(1, &faults[..2]);
+        assert!(pushed.grid_shape().is_none());
+        assert!(same_items(&pushed, &stored));
+        let err = WorkList::grid(u32::MAX as usize, faults[..2].to_vec()).expect_err("overflow");
+        assert!(matches!(err, CampaignError::WorkListOverflow { .. }));
     }
 
     /// Lanes of *different* trajectory lengths inside the same wave: mix

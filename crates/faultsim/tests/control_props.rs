@@ -292,7 +292,7 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
             let (config, _, label) = pick_config(pick, threads);
             match try_run(pick, &poisoned, &work, &config, &RunControl::unlimited()) {
                 Err(CampaignError::WorkerPanic {
-                    item_range,
+                    item_ranges,
                     message,
                     partial,
                 }) => {
@@ -300,7 +300,7 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
                         message.contains("poisoned scenario"),
                         "{label}: payload lost: {message}"
                     );
-                    assert!(!item_range.is_empty(), "{label}");
+                    assert!(!item_ranges.is_empty(), "{label}");
                     assert!(partial.completed > 0, "{label}: the rest must complete");
                     for (i, slot) in partial.outcomes.iter().enumerate() {
                         let (scenario, _) = work.item(i);
@@ -319,6 +319,159 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
                     }
                 }
                 other => panic!("{label}: expected WorkerPanic, got {other:?}"),
+            }
+        }
+    }
+}
+
+// ----- grid-built, single-cycle variants --------------------------------
+//
+// `WorkList::grid` over single-cycle scenarios runs fault-major on the
+// wave backends: a wave is one block of scenarios × a few faults, so its
+// slots are strided in scenario-major order. 600 scenarios make several
+// blocks at every width (the SIMD wave holds 512).
+
+const GRID_SCENARIOS: usize = 600;
+
+/// A single-cycle synthetic target: the same module and classifier as
+/// [`SyntheticTarget`], with 600 one-cycle scenarios whose faults arm at
+/// cycle 0.
+fn single_cycle_target(poison: Option<usize>) -> SyntheticTarget {
+    let module = module();
+    let n_regs = module.registers().len();
+    let scenarios = (0..GRID_SCENARIOS)
+        .map(|s| Scenario {
+            regs: (0..n_regs).map(|i| (s >> i) & 1 == 1).collect(),
+            inputs: vec![(0..N_INPUTS)
+                .map(|i| (s >> (n_regs + i)) & 1 == 1)
+                .collect()],
+            schedule: FaultSchedule::Uniform(if s % 2 == 0 {
+                FaultTiming::Permanent
+            } else {
+                FaultTiming::Transient(0)
+            }),
+            landings: Vec::new(),
+        })
+        .collect();
+    SyntheticTarget {
+        module,
+        scenarios,
+        poison,
+    }
+}
+
+fn grid_work(target: &SyntheticTarget) -> WorkList {
+    WorkList::grid(target.scenario_count(), fault_space(target.module())).expect("small grid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// An injection budget on a grid stops at a wave boundary of the
+    /// run's fixed wave order: every completed slot equals the
+    /// uninterrupted run's, the budget is never exceeded, and the same
+    /// budget gives the identical partial report at 1 and 4 threads.
+    #[test]
+    fn budgeted_grid_campaigns_are_deterministic_and_byte_identical(
+        pick in 0usize..PICKS,
+        budget_permille in 0u64..1000,
+    ) {
+        let target = single_cycle_target(None);
+        let work = grid_work(&target);
+        let (config, wave_items, label) = pick_config(pick, 1);
+        let reference = try_run(pick, &target, &work, &config, &RunControl::unlimited())
+            .expect("an unlimited run never fails");
+        let budget = budget_permille * work.len() as u64 / 1000;
+        let mut partials = Vec::new();
+        for threads in [1, 4, 1, 4] {
+            let (config, _, _) = pick_config(pick, threads);
+            let control = RunControl::unlimited().with_injection_budget(budget);
+            match try_run(pick, &target, &work, &config, &control) {
+                Err(CampaignError::Interrupted { reason, partial }) => {
+                    prop_assert_eq!(reason, StopReason::InjectionBudgetExhausted, "{}", label);
+                    prop_assert!(partial.completed as u64 <= budget, "{}: over budget", label);
+                    prop_assert!(
+                        partial.completed as u64 + wave_items as u64 > budget,
+                        "{}: a wave that fits was refused", label
+                    );
+                    for (i, slot) in partial.outcomes.iter().enumerate() {
+                        if let Some(outcome) = slot {
+                            prop_assert_eq!(*outcome, reference[i], "{}: slot {}", label, i);
+                        }
+                    }
+                    partials.push(*partial);
+                }
+                other => prop_assert!(false, "{}: expected Interrupted, got {:?}", label, other.map(|o| o.len())),
+            }
+        }
+        for p in &partials[1..] {
+            prop_assert_eq!(p, &partials[0], "{}: partial reports differ across runs", label);
+        }
+    }
+}
+
+/// A pre-cancelled grid campaign completes nothing on every backend.
+#[test]
+fn pre_cancelled_grid_campaigns_complete_nothing() {
+    let target = single_cycle_target(None);
+    let work = grid_work(&target);
+    for pick in 0..PICKS {
+        let (config, _, label) = pick_config(pick, 2);
+        let control = RunControl::unlimited();
+        control.cancel();
+        match try_run(pick, &target, &work, &config, &control) {
+            Err(CampaignError::Interrupted { reason, partial }) => {
+                assert_eq!(reason, StopReason::Cancelled, "{label}");
+                assert_eq!(partial.completed, 0, "{label}");
+                assert_eq!(partial.total(), work.len(), "{label}");
+            }
+            other => panic!("{label}: expected Interrupted, got {other:?}"),
+        }
+    }
+}
+
+/// A poisoned scenario in a grid fails exactly the waves that touch it:
+/// the error names exactly the slots left `None` (strided on the
+/// fault-major path), every slot of the poisoned scenario is among them,
+/// the other blocks complete, and completed slots equal a clean run's.
+#[test]
+fn a_poisoned_scenario_in_a_grid_fails_exactly_its_waves() {
+    let poison = GRID_SCENARIOS / 2;
+    let clean = single_cycle_target(None);
+    let work = grid_work(&clean);
+    let reference = ScalarBackend.execute(&clean, &work, &CampaignConfig::new().threads(1));
+    let poisoned = single_cycle_target(Some(poison));
+    for pick in 0..PICKS {
+        for threads in [1, 4] {
+            let (config, _, label) = pick_config(pick, threads);
+            let Err(CampaignError::WorkerPanic {
+                item_ranges,
+                message,
+                partial,
+            }) = try_run(pick, &poisoned, &work, &config, &RunControl::unlimited())
+            else {
+                panic!("{label}: expected WorkerPanic");
+            };
+            assert!(message.contains("poisoned scenario"), "{label}: {message}");
+            assert!(
+                partial.completed > 0,
+                "{label}: the other blocks must complete"
+            );
+            let named: Vec<usize> = item_ranges.iter().flat_map(|r| r.clone()).collect();
+            let missing: Vec<usize> = (0..work.len())
+                .filter(|&i| partial.outcomes[i].is_none())
+                .collect();
+            assert_eq!(
+                named, missing,
+                "{label}: named slots differ from the None slots"
+            );
+            for (i, slot) in partial.outcomes.iter().enumerate() {
+                if let Some(outcome) = slot {
+                    assert_eq!(*outcome, reference[i], "{label}: slot {i}");
+                }
+                if work.item(i).0 == poison {
+                    assert!(slot.is_none(), "{label}: poisoned slot {i} reported");
+                }
             }
         }
     }

@@ -60,6 +60,8 @@
 //! assert_eq!(out[0][0] & 0b11, 0b01); // lane 0 toggled, lane 1 froze
 //! ```
 
+use std::sync::OnceLock;
+
 use crate::ir::{CellId, CellKind, Module, NetId};
 
 /// Number of independent simulation lanes per lane *word*. A
@@ -127,6 +129,58 @@ pub struct PackedNetlist {
     reg_pos: Vec<u32>,
     /// Output port nets, in port order.
     outputs: Vec<u32>,
+    /// The readers of every net, built on the first cone-only
+    /// evaluation (campaigns that never run one never pay for it).
+    fanout: OnceLock<Fanout>,
+}
+
+/// CSR fanout: `sinks[start[n]..start[n + 1]]` lists every reader of net
+/// `n`, each once — op positions (`< ops.len()`), then register data
+/// pins (`ops.len() + register`), then output ports
+/// (`ops.len() + registers + port`). Op positions are topological, so
+/// an op's fanout ops always sit at higher positions.
+#[derive(Clone, Debug)]
+struct Fanout {
+    start: Vec<u32>,
+    sinks: Vec<u32>,
+}
+
+impl Fanout {
+    fn new(net: &PackedNetlist) -> Fanout {
+        let n_ops = net.ops.len() as u32;
+        let n_regs = net.reg_d.len() as u32;
+        // Every (net, reader) edge in reader order; an op reading one
+        // net on two pins is one reader.
+        let edges = || {
+            let op_edges = net.ops.iter().zip(0..).flat_map(|(op, p)| {
+                let pins = [op.a, op.b, op.c];
+                (0..op.arity as usize)
+                    .filter(move |&i| !pins[..i].contains(&pins[i]))
+                    .map(move |i| (pins[i], p))
+            });
+            let reg_edges = net.reg_d.iter().zip(n_ops..).map(|(&d, r)| (d, r));
+            let out_edges = net
+                .outputs
+                .iter()
+                .zip(n_ops + n_regs..)
+                .map(|(&o, k)| (o, k));
+            op_edges.chain(reg_edges).chain(out_edges)
+        };
+        let mut start = vec![0u32; net.n_nets + 1];
+        for (n, _) in edges() {
+            start[n as usize + 1] += 1;
+        }
+        for n in 0..net.n_nets {
+            start[n + 1] += start[n];
+        }
+        let mut fill = start.clone();
+        let mut sinks = vec![0u32; start[net.n_nets] as usize];
+        for (n, sink) in edges() {
+            sinks[fill[n as usize] as usize] = sink;
+            fill[n as usize] += 1;
+        }
+        Fanout { start, sinks }
+    }
 }
 
 impl PackedNetlist {
@@ -194,7 +248,15 @@ impl PackedNetlist {
             reg_init,
             reg_pos,
             outputs: module.outputs().iter().map(|&(_, n)| n.0).collect(),
+            fanout: OnceLock::new(),
         }
+    }
+
+    /// The readers of net `n` (see [`Fanout`]).
+    #[inline]
+    fn sinks_of(&self, n: usize) -> &[u32] {
+        let f = self.fanout.get_or_init(|| Fanout::new(self));
+        &f.sinks[f.start[n] as usize..f.start[n + 1] as usize]
     }
 
     /// Number of nets (= cells) in the compiled module.
@@ -251,6 +313,28 @@ pub fn extract_lane<const W: usize>(words: &[[u64; W]], lane: usize, out: &mut V
     let (word, bit) = (lane / LANES, lane % LANES);
     out.clear();
     out.extend(words.iter().map(|w| (w[word] >> bit) & 1 == 1));
+}
+
+/// One op's raw (pre-mask) output wave from its operand waves. `kind` is
+/// invariant across the unrolled per-word loop, so each call keeps a
+/// single opcode dispatch.
+#[inline(always)]
+fn op_value<const W: usize>(kind: u8, a: [u64; W], b: [u64; W], c: [u64; W]) -> [u64; W] {
+    let mut raw = [0u64; W];
+    for k in 0..W {
+        raw[k] = match kind {
+            OP_BUF => a[k],
+            OP_NOT => !a[k],
+            OP_AND => a[k] & b[k],
+            OP_OR => a[k] | b[k],
+            OP_XOR => a[k] ^ b[k],
+            OP_NAND => !(a[k] & b[k]),
+            OP_NOR => !(a[k] | b[k]),
+            OP_XNOR => !(a[k] ^ b[k]),
+            _ => (a[k] & c[k]) | (!a[k] & b[k]), // mux: a = sel, b = on_false, c = on_true
+        };
+    }
+    raw
 }
 
 /// Broadcasts one word value to every word of a wave.
@@ -368,6 +452,9 @@ pub struct PackedSimulator<'p, const W: usize = 1> {
     /// Nets whose masks deviate from the defaults — lets
     /// [`PackedSimulator::clear_faults`] reset in O(faults), not O(nets).
     dirty: Vec<u32>,
+    /// `dirty` as a bitset, one bit per net: cone evaluation skips the
+    /// mask loads of every other net.
+    masked: Vec<u64>,
     /// Faulted combinational input pins, sorted by op position before
     /// evaluation and consumed by a cursor during the sweep.
     op_faults: Vec<(u32, u8, PinMasks<W>)>,
@@ -375,6 +462,36 @@ pub struct PackedSimulator<'p, const W: usize = 1> {
     /// Faulted register data pins, keyed by register position.
     reg_faults: Vec<(u32, PinMasks<W>)>,
     cycle: u64,
+    /// The captured fault-free cycle behind cone-only evaluation
+    /// (allocated on the first [`PackedSimulator::capture_baseline`]).
+    cone: Option<Box<Cone<W>>>,
+}
+
+/// A settled fault-free cycle plus the scratch of cone-only evaluation
+/// against it.
+#[derive(Debug)]
+struct Cone<const W: usize> {
+    /// `false` once anything but a fault arm or a cone evaluation has
+    /// changed the simulator since the capture.
+    live: bool,
+    /// Settled fault-free net values.
+    values: Vec<[u64; W]>,
+    /// The start-of-cycle register state the baseline settled from.
+    regs: Vec<[u64; W]>,
+    /// Fault-free next-state register words.
+    next_regs: Vec<[u64; W]>,
+    /// Fault-free output-port words.
+    outputs: Vec<[u64; W]>,
+    /// Next-state registers and outputs of the last cone evaluation:
+    /// the baseline with the cone's patches.
+    cone_regs: Vec<[u64; W]>,
+    cone_outputs: Vec<[u64; W]>,
+    /// Nets, registers and output ports the last evaluation changed.
+    touched: Vec<u32>,
+    patched_regs: Vec<u32>,
+    patched_outputs: Vec<u32>,
+    /// Pending op positions of the running evaluation, one bit per op.
+    pending: Vec<u64>,
 }
 
 impl<'p, const W: usize> PackedSimulator<'p, W> {
@@ -396,10 +513,21 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
             force: vec![[0; W]; net.n_nets],
             flip: vec![[0; W]; net.n_nets],
             dirty: Vec::new(),
+            masked: vec![0; net.n_nets.div_ceil(64)],
             op_faults: Vec::new(),
             op_faults_sorted: true,
             reg_faults: Vec::new(),
             cycle: 0,
+            cone: None,
+        }
+    }
+
+    /// Marks the captured baseline stale: the settled values or the
+    /// register state moved under it.
+    #[inline]
+    fn invalidate_baseline(&mut self) {
+        if let Some(cone) = &mut self.cone {
+            cone.live = false;
         }
     }
 
@@ -421,6 +549,7 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
             *w = splat(init);
         }
         self.cycle = 0;
+        self.invalidate_baseline();
     }
 
     /// Stored register waves, in `Module::registers()` order; lane `l` of
@@ -439,6 +568,7 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
         assert_eq!(words.len(), self.reg_state.len(), "register count mismatch");
         self.reg_state.copy_from_slice(words);
         self.cycle = 0;
+        self.invalidate_baseline();
     }
 
     /// Broadcasts one scalar register state to every lane.
@@ -456,6 +586,7 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
             *w = splat(if v { !0 } else { 0 });
         }
         self.cycle = 0;
+        self.invalidate_baseline();
     }
 
     /// Flips one stored register bit in the selected lanes — the packed
@@ -487,6 +618,18 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
         let n = net as usize;
         if self.keep[n] == [!0; W] && self.force[n] == [0; W] && self.flip[n] == [0; W] {
             self.dirty.push(net);
+            self.masked[n / 64] |= 1 << (n % 64);
+        }
+    }
+
+    /// Applies net `n`'s masks if it has any (cone evaluation's sparse
+    /// twin of [`apply_net`](Self::apply_net)).
+    #[inline]
+    fn apply_masked(&self, n: usize, raw: [u64; W]) -> [u64; W] {
+        if self.masked[n / 64] & (1 << (n % 64)) == 0 {
+            raw
+        } else {
+            self.apply_net(n, raw)
         }
     }
 
@@ -570,6 +713,7 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
             self.keep[n] = [!0; W];
             self.force[n] = [0; W];
             self.flip[n] = [0; W];
+            self.masked[n / 64] &= !(1 << (n % 64));
         }
         self.dirty.clear();
         self.op_faults.clear();
@@ -583,6 +727,13 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
     }
 
     // ----- evaluation ----------------------------------------------------
+
+    fn sort_op_faults(&mut self) {
+        if !self.op_faults_sorted {
+            self.op_faults.sort_by_key(|&(pos, pin, _)| (pos, pin));
+            self.op_faults_sorted = true;
+        }
+    }
 
     #[inline]
     fn apply_net(&self, net: usize, raw: [u64; W]) -> [u64; W] {
@@ -609,10 +760,8 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
             inputs.len(),
             self.net.inputs.len()
         );
-        if !self.op_faults_sorted {
-            self.op_faults.sort_by_key(|&(pos, pin, _)| (pos, pin));
-            self.op_faults_sorted = true;
-        }
+        self.invalidate_baseline();
+        self.sort_op_faults();
         // Phase 0: source nets (inputs, constants, register outputs).
         for (i, &w) in inputs.iter().enumerate() {
             let n = self.net.inputs[i] as usize;
@@ -643,24 +792,8 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
                 }
                 cursor += 1;
             }
-            // `op.kind` is loop-invariant, so the unrolled per-word loop
-            // keeps a single opcode dispatch per gate.
-            let mut raw = [0u64; W];
-            for k in 0..W {
-                raw[k] = match op.kind {
-                    OP_BUF => a[k],
-                    OP_NOT => !a[k],
-                    OP_AND => a[k] & b[k],
-                    OP_OR => a[k] | b[k],
-                    OP_XOR => a[k] ^ b[k],
-                    OP_NAND => !(a[k] & b[k]),
-                    OP_NOR => !(a[k] | b[k]),
-                    OP_XNOR => !(a[k] ^ b[k]),
-                    _ => (a[k] & c[k]) | (!a[k] & b[k]), // mux: a = sel, b = on_false, c = on_true
-                };
-            }
             let n = op.out as usize;
-            self.values[n] = self.apply_net(n, raw);
+            self.values[n] = self.apply_net(n, op_value(op.kind, a, b, c));
         }
     }
 
@@ -712,6 +845,7 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
             !self.has_faults(),
             "pruned evaluation requires a fault-free mask state"
         );
+        self.invalidate_baseline();
         activity.clear();
         activity.resize(self.net.n_nets, false);
         let base_word = |b: bool| if b { !0u64 } else { 0u64 };
@@ -751,23 +885,12 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
                 self.values[n] = splat(bw);
                 continue;
             }
-            let a = self.values[op.a as usize];
-            let b = self.values[op.b as usize];
-            let c = self.values[op.c as usize];
-            let mut raw = [0u64; W];
-            for k in 0..W {
-                raw[k] = match op.kind {
-                    OP_BUF => a[k],
-                    OP_NOT => !a[k],
-                    OP_AND => a[k] & b[k],
-                    OP_OR => a[k] | b[k],
-                    OP_XOR => a[k] ^ b[k],
-                    OP_NAND => !(a[k] & b[k]),
-                    OP_NOR => !(a[k] | b[k]),
-                    OP_XNOR => !(a[k] ^ b[k]),
-                    _ => (a[k] & c[k]) | (!a[k] & b[k]), // mux
-                };
-            }
+            let raw = op_value(
+                op.kind,
+                self.values[op.a as usize],
+                self.values[op.b as usize],
+                self.values[op.c as usize],
+            );
             self.values[n] = raw;
             activity[n] = diverges(&raw, bw);
         }
@@ -804,6 +927,7 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
     /// Commits every flip-flop's data input into its state, applying any
     /// armed register-pin faults.
     pub fn commit_registers(&mut self) {
+        self.invalidate_baseline();
         for (ri, &d) in self.net.reg_d.iter().enumerate() {
             self.reg_state[ri] = self.values[d as usize];
         }
@@ -825,6 +949,290 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
         self.sample_outputs_into(outputs);
         self.commit_registers();
         self.cycle += 1;
+    }
+
+    // ----- cone-only evaluation ------------------------------------------
+
+    /// Settles the current register state under `inputs` fault-free and
+    /// captures the result as the baseline of cone-only evaluation: every
+    /// net's value, the start-of-cycle registers, and the fault-free
+    /// next-state registers and outputs. Registers are not committed and
+    /// the cycle counter does not advance.
+    ///
+    /// Afterwards, arm faults (net and pin masks, register-pin masks,
+    /// [`flip_register`](Self::flip_register)), run
+    /// [`eval_cone`](Self::eval_cone), read the result, and
+    /// [`restore_baseline`](Self::restore_baseline) before arming the
+    /// next fault set. Any full settle, commit or register reload makes
+    /// the baseline stale; capture again after one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any fault is armed, or on an input-count mismatch.
+    pub fn capture_baseline(&mut self, inputs: &[[u64; W]]) {
+        assert!(
+            !self.has_faults(),
+            "the baseline must be captured fault-free"
+        );
+        self.eval_comb(inputs);
+        let net = self.net;
+        let next: Vec<[u64; W]> = net.reg_d.iter().map(|&d| self.values[d as usize]).collect();
+        let outs: Vec<[u64; W]> = net
+            .outputs
+            .iter()
+            .map(|&o| self.values[o as usize])
+            .collect();
+        let cone = self.cone.get_or_insert_with(|| {
+            Box::new(Cone {
+                live: false,
+                values: Vec::new(),
+                regs: Vec::new(),
+                next_regs: Vec::new(),
+                outputs: Vec::new(),
+                cone_regs: Vec::new(),
+                cone_outputs: Vec::new(),
+                touched: Vec::new(),
+                patched_regs: Vec::new(),
+                patched_outputs: Vec::new(),
+                pending: vec![0; net.ops.len().div_ceil(64)],
+            })
+        });
+        cone.values.clone_from(&self.values);
+        cone.regs.clone_from(&self.reg_state);
+        cone.cone_regs.clone_from(&next);
+        cone.next_regs = next;
+        cone.cone_outputs.clone_from(&outs);
+        cone.outputs = outs;
+        cone.touched.clear();
+        cone.patched_regs.clear();
+        cone.patched_outputs.clear();
+        cone.live = true;
+    }
+
+    /// Evaluates only the fanout cone of the armed faults on top of the
+    /// captured baseline and returns the number of ops it evaluated.
+    ///
+    /// The cone is seeded by every masked net, every faulted input pin
+    /// and every register whose stored state differs from the baseline's
+    /// (a [`flip_register`](Self::flip_register)), and grows event by
+    /// event in topological order: an op is evaluated only when one of
+    /// its inputs changed (or it carries a pin fault), and a value that
+    /// reconverges with the baseline stops propagating there. Afterwards
+    /// every net holds exactly what [`eval_comb`](Self::eval_comb) would
+    /// settle under the same faults, and
+    /// [`cone_registers`](Self::cone_registers) /
+    /// [`cone_outputs`](Self::cone_outputs) hold exactly the committed
+    /// registers and sampled outputs of the equivalent
+    /// [`step_into`](Self::step_into), in every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a live baseline was captured and restored since the
+    /// last evaluation.
+    pub fn eval_cone(&mut self) -> usize {
+        self.sort_op_faults();
+        let mut cone = self.cone.take().expect("capture a baseline first");
+        assert!(
+            cone.live && cone.touched.is_empty() && cone.patched_regs.is_empty(),
+            "eval_cone needs a live, restored baseline"
+        );
+        let net = self.net;
+        let n_ops = net.ops.len();
+        let mut count = 0usize;
+        let mut lo = usize::MAX;
+        // Sources: flipped registers, then masked nets (a masked op is a
+        // seed; a masked source is recomputed from its raw value).
+        for (ri, &n) in net.reg_nets.iter().enumerate() {
+            if self.reg_state[ri] != cone.regs[ri] {
+                let v = self.apply_masked(n as usize, self.reg_state[ri]);
+                self.set_cone_net(&mut cone, n as usize, v, &mut count, &mut lo);
+            }
+        }
+        for i in 0..self.dirty.len() {
+            let n = self.dirty[i] as usize;
+            let pos = net.op_pos[n];
+            if pos != u32::MAX {
+                Self::mark(&mut cone.pending, pos as usize, &mut count, &mut lo);
+                continue;
+            }
+            let reg = net.reg_pos[n];
+            let raw = if reg != u32::MAX {
+                self.reg_state[reg as usize]
+            } else {
+                cone.values[n]
+            };
+            let v = self.apply_net(n, raw);
+            self.set_cone_net(&mut cone, n, v, &mut count, &mut lo);
+        }
+        for &(pos, _, _) in &self.op_faults {
+            Self::mark(&mut cone.pending, pos as usize, &mut count, &mut lo);
+        }
+        // Event-driven sweep in topological (= position) order: fanout
+        // ops always sit at higher positions, so one forward scan over
+        // the pending bitmap visits each op at most once.
+        let mut evaluated = 0usize;
+        let mut cursor = 0usize;
+        let mut word = lo / 64;
+        while count > 0 {
+            while cone.pending[word] != 0 {
+                let bit = cone.pending[word].trailing_zeros() as usize;
+                cone.pending[word] &= cone.pending[word] - 1;
+                count -= 1;
+                let p = word * 64 + bit;
+                let op = net.ops[p];
+                let mut a = self.values[op.a as usize];
+                let mut b = self.values[op.b as usize];
+                let mut c = self.values[op.c as usize];
+                while cursor < self.op_faults.len() && (self.op_faults[cursor].0 as usize) < p {
+                    cursor += 1;
+                }
+                while cursor < self.op_faults.len() && self.op_faults[cursor].0 as usize == p {
+                    let (_, pin, masks) = self.op_faults[cursor];
+                    match pin {
+                        0 => a = masks.apply(a),
+                        1 => b = masks.apply(b),
+                        _ => c = masks.apply(c),
+                    }
+                    cursor += 1;
+                }
+                let n = op.out as usize;
+                let v = self.apply_masked(n, op_value(op.kind, a, b, c));
+                evaluated += 1;
+                self.set_cone_net(&mut cone, n, v, &mut count, &mut lo);
+            }
+            word += 1;
+            debug_assert!(word <= n_ops.div_ceil(64) || count == 0);
+        }
+        // Register data-pin faults act at the commit.
+        for &(ri, masks) in &self.reg_faults {
+            let ri = ri as usize;
+            cone.cone_regs[ri] = masks.apply(self.values[net.reg_d[ri] as usize]);
+            cone.patched_regs.push(ri as u32);
+        }
+        self.cone = Some(cone);
+        evaluated
+    }
+
+    /// Sets pending bit `pos`, counting it if it was clear and tracking
+    /// the lowest pending position.
+    #[inline]
+    fn mark(pending: &mut [u64], pos: usize, count: &mut usize, lo: &mut usize) {
+        let (w, bit) = (pos / 64, 1u64 << (pos % 64));
+        if pending[w] & bit == 0 {
+            pending[w] |= bit;
+            *count += 1;
+            *lo = (*lo).min(pos);
+        }
+    }
+
+    /// Writes a cone value if it changed and propagates the change to
+    /// every reader of the net.
+    #[inline]
+    fn set_cone_net(
+        &mut self,
+        cone: &mut Cone<W>,
+        n: usize,
+        v: [u64; W],
+        count: &mut usize,
+        lo: &mut usize,
+    ) {
+        if v == self.values[n] {
+            return;
+        }
+        self.values[n] = v;
+        cone.touched.push(n as u32);
+        let n_ops = self.net.ops.len() as u32;
+        let n_regs = self.net.reg_d.len() as u32;
+        for &sink in self.net.sinks_of(n) {
+            if sink < n_ops {
+                Self::mark(&mut cone.pending, sink as usize, count, lo);
+            } else if sink < n_ops + n_regs {
+                cone.cone_regs[(sink - n_ops) as usize] = v;
+                cone.patched_regs.push(sink - n_ops);
+            } else {
+                cone.cone_outputs[(sink - n_ops - n_regs) as usize] = v;
+                cone.patched_outputs.push(sink - n_ops - n_regs);
+            }
+        }
+    }
+
+    /// The next-state register words of the last
+    /// [`eval_cone`](Self::eval_cone) (the baseline's where the cone did
+    /// not reach), in `Module::registers()` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no baseline was captured.
+    pub fn cone_registers(&self) -> &[[u64; W]] {
+        &self
+            .cone
+            .as_ref()
+            .expect("capture a baseline first")
+            .cone_regs
+    }
+
+    /// The output-port words of the last [`eval_cone`](Self::eval_cone).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no baseline was captured.
+    pub fn cone_outputs(&self) -> &[[u64; W]] {
+        &self
+            .cone
+            .as_ref()
+            .expect("capture a baseline first")
+            .cone_outputs
+    }
+
+    /// The lanes whose next-state registers or outputs after the last
+    /// [`eval_cone`](Self::eval_cone) differ from the baseline's. Every
+    /// other lane ends the cycle exactly as the fault-free run does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no baseline was captured.
+    pub fn cone_divergence(&self) -> [u64; W] {
+        let cone = self.cone.as_ref().expect("capture a baseline first");
+        let mut diff = [0u64; W];
+        for &r in &cone.patched_regs {
+            let (now, base) = (cone.cone_regs[r as usize], cone.next_regs[r as usize]);
+            for k in 0..W {
+                diff[k] |= now[k] ^ base[k];
+            }
+        }
+        for &o in &cone.patched_outputs {
+            let (now, base) = (cone.cone_outputs[o as usize], cone.outputs[o as usize]);
+            for k in 0..W {
+                diff[k] |= now[k] ^ base[k];
+            }
+        }
+        diff
+    }
+
+    /// Undoes the last [`eval_cone`](Self::eval_cone): restores the nets,
+    /// next-state registers and outputs it changed and the start-of-cycle
+    /// register state (undoing register flips), in time proportional to
+    /// the cone. Armed fault masks stay armed; clear them with
+    /// [`clear_faults`](Self::clear_faults).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no baseline was captured.
+    pub fn restore_baseline(&mut self) {
+        let cone = self.cone.as_mut().expect("capture a baseline first");
+        for &n in &cone.touched {
+            self.values[n as usize] = cone.values[n as usize];
+        }
+        for &r in &cone.patched_regs {
+            cone.cone_regs[r as usize] = cone.next_regs[r as usize];
+        }
+        for &o in &cone.patched_outputs {
+            cone.cone_outputs[o as usize] = cone.outputs[o as usize];
+        }
+        cone.touched.clear();
+        cone.patched_regs.clear();
+        cone.patched_outputs.clear();
+        self.reg_state.copy_from_slice(&cone.regs);
     }
 }
 

@@ -4,7 +4,9 @@
 //! streams and per-lane fault masks (net flips/stucks, pin flips/stucks,
 //! register flips), at every supported wave width `W` ∈ {1, 2, 4}. The
 //! scalar engine is the oracle; any divergence on any lane in any cycle
-//! fails the case.
+//! fails the case. A second family pins cone-only evaluation against a
+//! captured baseline to a full packed step at every width, the 512-lane
+//! SIMD wave included.
 
 use proptest::prelude::*;
 use scfi_netlist::{
@@ -60,6 +62,58 @@ fn build(recipe: &[GateSpec], n_regs: usize, dff_srcs: &[usize]) -> Module {
     b.finish().expect("valid random module")
 }
 
+/// One decoded fault recipe.
+#[derive(Clone, Copy, Debug)]
+enum Decoded {
+    NetFlip(NetId),
+    NetStuck(NetId, bool),
+    PinFlip(CellId, usize),
+    PinStuck(CellId, usize, bool),
+    RegFlip(CellId),
+}
+
+/// Resolves a fault recipe against `module`; `None` for a pin fault on a
+/// cell without pins or a register flip in a module without registers.
+fn decode(module: &Module, spec: FaultSpec) -> Option<Decoded> {
+    let (site, cell_pick, pin_pick, effect) = spec;
+    let cell = CellId((cell_pick % module.len()) as u32);
+    Some(match site % 3 {
+        0 => match effect % 3 {
+            0 => Decoded::NetFlip(cell.net()),
+            e => Decoded::NetStuck(cell.net(), e == 2),
+        },
+        1 => {
+            let arity = module.cell(cell).kind.arity();
+            if arity == 0 {
+                return None; // inputs/constants have no pins to fault
+            }
+            let pin = pin_pick as usize % arity;
+            match effect % 3 {
+                0 => Decoded::PinFlip(cell, pin),
+                e => Decoded::PinStuck(cell, pin, e == 2),
+            }
+        }
+        _ => {
+            let regs = module.registers();
+            if regs.is_empty() {
+                return None;
+            }
+            Decoded::RegFlip(regs[cell_pick % regs.len()])
+        }
+    })
+}
+
+/// Arms one decoded fault on a packed simulator in the `mask` lanes.
+fn arm_packed<const W: usize>(packed: &mut PackedSimulator<'_, W>, fault: Decoded, mask: [u64; W]) {
+    match fault {
+        Decoded::NetFlip(n) => packed.set_net_flip(n, mask),
+        Decoded::NetStuck(n, v) => packed.set_net_stuck(n, v, mask),
+        Decoded::PinFlip(c, p) => packed.set_pin_flip(c, p, mask),
+        Decoded::PinStuck(c, p, v) => packed.set_pin_stuck(c, p, v, mask),
+        Decoded::RegFlip(r) => packed.flip_register(r, mask),
+    }
+}
+
 /// Arms one decoded fault on both engines (packed in `lane` only).
 fn arm_both<const W: usize>(
     module: &Module,
@@ -68,48 +122,16 @@ fn arm_both<const W: usize>(
     lane: usize,
     spec: FaultSpec,
 ) {
-    let (site, cell_pick, pin_pick, effect) = spec;
-    let cell = CellId((cell_pick % module.len()) as u32);
-    let mask = lane_mask::<W>(lane);
-    match site % 3 {
-        0 => match effect % 3 {
-            0 => {
-                packed.set_net_flip(cell.net(), mask);
-                scalar.set_net_flip(cell.net());
-            }
-            e => {
-                let v = e == 2;
-                packed.set_net_stuck(cell.net(), v, mask);
-                scalar.set_net_stuck(cell.net(), v);
-            }
-        },
-        1 => {
-            let arity = module.cell(cell).kind.arity();
-            if arity == 0 {
-                return; // inputs/constants have no pins to fault
-            }
-            let pin = pin_pick as usize % arity;
-            match effect % 3 {
-                0 => {
-                    packed.set_pin_flip(cell, pin, mask);
-                    scalar.set_pin_flip(cell, pin);
-                }
-                e => {
-                    let v = e == 2;
-                    packed.set_pin_stuck(cell, pin, v, mask);
-                    scalar.set_pin_stuck(cell, pin, v);
-                }
-            }
-        }
-        _ => {
-            let regs = module.registers();
-            if regs.is_empty() {
-                return;
-            }
-            let reg = regs[cell_pick % regs.len()];
-            packed.flip_register(reg, mask);
-            scalar.flip_register(reg);
-        }
+    let Some(fault) = decode(module, spec) else {
+        return;
+    };
+    arm_packed(packed, fault, lane_mask::<W>(lane));
+    match fault {
+        Decoded::NetFlip(n) => scalar.set_net_flip(n),
+        Decoded::NetStuck(n, v) => scalar.set_net_stuck(n, v),
+        Decoded::PinFlip(c, p) => scalar.set_pin_flip(c, p),
+        Decoded::PinStuck(c, p, v) => scalar.set_pin_stuck(c, p, v),
+        Decoded::RegFlip(r) => scalar.flip_register(r),
     }
 }
 
@@ -294,5 +316,166 @@ proptest! {
             (3 * LANES + 1)..=(4 * LANES)),
     ) {
         run_case::<4>(&recipe, n_regs, &dff_srcs, init_word, &input_streams, &lane_faults)?;
+    }
+}
+
+/// A fault placed in one lane: `(lane pick, recipe)`.
+type LaneFault = (usize, FaultSpec);
+
+/// The cone-only differential case: against one captured baseline, each
+/// round arms a random fault set (net flips and stuck-ats, combinational
+/// and flip-flop pin faults, register flips, in random lanes of all
+/// `64 · W`), and [`PackedSimulator::eval_cone`] must reproduce a full
+/// `step_into` under the same faults — every output and committed
+/// register word in every lane, and the divergence mask against the
+/// fault-free step. Rounds share the capture, so `restore_baseline` must
+/// leave it exactly as captured.
+fn cone_case<const W: usize>(
+    recipe: &[GateSpec],
+    n_regs: usize,
+    dff_srcs: &[usize],
+    init_word: u64,
+    input_words: &[u64],
+    rounds: &[Vec<LaneFault>],
+) -> Result<(), TestCaseError> {
+    let module = build(recipe, n_regs, dff_srcs);
+    let compiled = PackedNetlist::compile(&module);
+    let lanes = LANES * W;
+    let spread = |word: u64, bit: usize| {
+        let mut w = [0u64; W];
+        for lane in 0..lanes {
+            if (word.rotate_left((lane % 61) as u32) >> (bit % 64)) & 1 == 1 {
+                let mask = lane_mask::<W>(lane);
+                for k in 0..W {
+                    w[k] |= mask[k];
+                }
+            }
+        }
+        w
+    };
+    let regs: Vec<[u64; W]> = (0..module.registers().len())
+        .map(|i| spread(init_word, i))
+        .collect();
+    let inputs: Vec<[u64; W]> = input_words
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| spread(w, i))
+        .collect();
+
+    let mut clean = PackedSimulator::<W>::new(&compiled);
+    clean.set_register_words(&regs);
+    let mut base_out = Vec::new();
+    clean.step_into(&inputs, &mut base_out);
+    let base_regs = clean.register_words().to_vec();
+
+    let mut cone = PackedSimulator::<W>::new(&compiled);
+    cone.set_register_words(&regs);
+    cone.capture_baseline(&inputs);
+    for (round, faults) in rounds.iter().enumerate() {
+        let mut full = PackedSimulator::<W>::new(&compiled);
+        full.set_register_words(&regs);
+        for &(lane, spec) in faults {
+            if let Some(fault) = decode(&module, spec) {
+                let mask = lane_mask::<W>(lane % lanes);
+                arm_packed(&mut full, fault, mask);
+                arm_packed(&mut cone, fault, mask);
+            }
+        }
+        let mut out = Vec::new();
+        full.step_into(&inputs, &mut out);
+        cone.eval_cone();
+        prop_assert_eq!(cone.cone_outputs(), &out[..], "round {}: outputs", round);
+        prop_assert_eq!(
+            cone.cone_registers(),
+            full.register_words(),
+            "round {}: committed registers",
+            round
+        );
+        let mut diff = [0u64; W];
+        let pairs = out.iter().zip(&base_out);
+        for (now, base) in pairs.chain(full.register_words().iter().zip(&base_regs)) {
+            for k in 0..W {
+                diff[k] |= now[k] ^ base[k];
+            }
+        }
+        prop_assert_eq!(cone.cone_divergence(), diff, "round {}: divergence", round);
+        cone.restore_baseline();
+        cone.clear_faults();
+    }
+    // A restored baseline with nothing armed evaluates no op at all.
+    prop_assert_eq!(cone.eval_cone(), 0);
+    prop_assert_eq!(cone.cone_outputs(), &base_out[..]);
+    prop_assert_eq!(cone.cone_registers(), &base_regs[..]);
+    prop_assert_eq!(cone.cone_divergence(), [0u64; W]);
+    Ok(())
+}
+
+/// Strategy for [`cone_case`]'s fault rounds.
+fn cone_rounds() -> impl Strategy<Value = Vec<Vec<LaneFault>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            (
+                any::<usize>(),
+                (any::<u8>(), any::<usize>(), any::<u8>(), any::<u8>()),
+            ),
+            0..6,
+        ),
+        1..5,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Cone-only evaluation ≡ full `step_into`, 64-lane waves.
+    #[test]
+    fn cone_eval_matches_full_step_w1(
+        recipe in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..40),
+        n_regs in 1usize..5,
+        dff_srcs in proptest::collection::vec(any::<usize>(), 5),
+        init_word in any::<u64>(),
+        input_words in proptest::collection::vec(any::<u64>(), N_INPUTS),
+        rounds in cone_rounds(),
+    ) {
+        cone_case::<1>(&recipe, n_regs, &dff_srcs, init_word, &input_words, &rounds)?;
+    }
+
+    /// Cone-only evaluation ≡ full `step_into`, 128-lane waves.
+    #[test]
+    fn cone_eval_matches_full_step_w2(
+        recipe in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..40),
+        n_regs in 1usize..5,
+        dff_srcs in proptest::collection::vec(any::<usize>(), 5),
+        init_word in any::<u64>(),
+        input_words in proptest::collection::vec(any::<u64>(), N_INPUTS),
+        rounds in cone_rounds(),
+    ) {
+        cone_case::<2>(&recipe, n_regs, &dff_srcs, init_word, &input_words, &rounds)?;
+    }
+
+    /// Cone-only evaluation ≡ full `step_into`, 256-lane waves.
+    #[test]
+    fn cone_eval_matches_full_step_w4(
+        recipe in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..40),
+        n_regs in 1usize..5,
+        dff_srcs in proptest::collection::vec(any::<usize>(), 5),
+        init_word in any::<u64>(),
+        input_words in proptest::collection::vec(any::<u64>(), N_INPUTS),
+        rounds in cone_rounds(),
+    ) {
+        cone_case::<4>(&recipe, n_regs, &dff_srcs, init_word, &input_words, &rounds)?;
+    }
+
+    /// Cone-only evaluation ≡ full `step_into`, the 512-lane SIMD wave.
+    #[test]
+    fn cone_eval_matches_full_step_w8(
+        recipe in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..40),
+        n_regs in 1usize..5,
+        dff_srcs in proptest::collection::vec(any::<usize>(), 5),
+        init_word in any::<u64>(),
+        input_words in proptest::collection::vec(any::<u64>(), N_INPUTS),
+        rounds in cone_rounds(),
+    ) {
+        cone_case::<8>(&recipe, n_regs, &dff_srcs, init_word, &input_words, &rounds)?;
     }
 }

@@ -503,6 +503,11 @@ fn run_one(registry: &Registry, job: &Job) {
             inner.error = Some(message);
         }
     }
+    // A finished result stays in the registry until the TTL retires it:
+    // keep its bytes, not the slack its rendering grew into.
+    if let Some((body, _)) = &mut inner.result {
+        body.shrink_to_fit();
+    }
     inner.finished_at = Some(Instant::now());
 }
 

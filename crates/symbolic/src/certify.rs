@@ -569,7 +569,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
     /// Exports the BDD manager's cumulative cache statistics and node
     /// high-water mark as monotone telemetry series. No-op without a
     /// recording handle.
-    fn flush_bdd_stats(&mut self) {
+    pub(crate) fn flush_bdd_stats(&mut self) {
         if !self.telemetry.enabled() {
             return;
         }

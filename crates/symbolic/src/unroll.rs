@@ -215,6 +215,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
                 reason: overflow.to_string(),
             },
         };
+        self.flush_bdd_stats();
         JointReport {
             config: self.model.name(),
             module: self.model.module().name().to_string(),
@@ -324,12 +325,14 @@ impl<M: CertifyModel> Certifier<'_, M> {
         assert!(k >= 1, "a walk needs at least one cycle");
         assert!(j < k, "fault step {j} lies past the {k}-cycle walk");
         self.bdd.reset_steps();
-        match self.certify_kstep_inner(fault, k, j) {
+        let verdict = match self.certify_kstep_inner(fault, k, j) {
             Ok(v) => v,
             Err(overflow) => KStepVerdict::Unknown {
                 reason: overflow.to_string(),
             },
-        }
+        };
+        self.flush_bdd_stats();
+        verdict
     }
 
     fn certify_kstep_inner(
@@ -625,6 +628,52 @@ mod tests {
             other => panic!("a 1-step budget cannot decide the joint claim, got {other:?}"),
         }
         assert!(report.to_string().contains("UNKNOWN"));
+    }
+
+    /// The joint and k-step checks flush BDD telemetry when they end, so
+    /// the reported node high-water covers the check itself — on a run
+    /// cut by the node budget, at least the node count where it tripped
+    /// — not just the certifier setup.
+    #[test]
+    fn joint_and_kstep_report_their_own_node_high_water() {
+        use scfi_telemetry::Telemetry;
+        let h = harden(&fsm(), &ScfiConfig::new(3)).unwrap();
+        let faults = enumerate_faults(
+            h.module(),
+            &CampaignConfig::new().register_region(h.module()),
+        );
+        let high_water = |t: &Telemetry| t.gauge("scfi_bdd_nodes_high_water").get();
+        let run = |budget: CertifyBudget, joint: bool| {
+            let t = Telemetry::recording();
+            let mut c = Certifier::with_instruments(&h, budget, t.clone(), None)
+                .expect("setup fits the budget");
+            let setup = high_water(&t);
+            let decided = if joint {
+                c.certify_joint(&faults, 2).verdict.is_proven()
+            } else {
+                !matches!(
+                    c.certify_kstep(faults[0], 3, 1),
+                    KStepVerdict::Unknown { .. }
+                )
+            };
+            (setup, high_water(&t), decided)
+        };
+        for joint in [true, false] {
+            let (setup, full, decided) = run(CertifyBudget::unlimited(), joint);
+            assert!(decided, "joint {joint}: the unbudgeted check decides");
+            assert!(full > setup, "joint {joint}: {full} nodes vs setup {setup}");
+            let limit = (setup + full) / 2;
+            let (_, tripped, decided) =
+                run(CertifyBudget::unlimited().max_nodes(limit as usize), joint);
+            assert!(
+                !decided,
+                "joint {joint}: {limit} nodes must trip the budget"
+            );
+            assert!(
+                tripped >= limit,
+                "joint {joint}: high-water {tripped} < trip point {limit}"
+            );
+        }
     }
 
     #[test]
