@@ -20,14 +20,31 @@
 //! * satisfying-assignment extraction (counterexample witnesses) and model
 //!   counting (reachable-state reporting).
 //!
-//! Nodes are arena-allocated and never freed; the engine's workloads
-//! (netlists with tens of symbolic variables) stay far below any size
-//! where garbage collection would pay for itself.
+//! Nodes are arena-allocated and never freed. That keeps node ids stable
+//! for the manager's whole life, but certification no longer stays small:
+//! the node high-water reaches 476 k nodes on adc_ctrl_fsm `--joint` at
+//! N = 3, 676 k on i2c_fsm `--all-gates` at N = 3 and 1.99 M on a
+//! generated 50-state FSM, most of it built by one site and dead after
+//! its verdict.
+//!
+//! # Tables
+//!
+//! The unique table, the `ite` memo and the per-call memos are std
+//! `HashMap`s keyed through the fixed multiplicative hash of
+//! `crate::hash` rather than the default SipHash: their keys are node ids
+//! the manager assigns itself, and a fixed hash is several times cheaper
+//! per probe. The `ite` memo is *exact* — it keeps every entry and never
+//! evicts — so the number of operation steps an operation takes, the unit
+//! of the step budget, depends only on the sequence of operations issued.
+//! Step counts, `ite` hit/miss counts, node ids and the point at which a
+//! node or step budget trips therefore repeat exactly from run to run and
+//! across table implementations; a lossy cache would move them.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+
+use crate::hash::{FxHashMap, FxHashSet};
 
 /// Why a budgeted BDD operation stopped early.
 ///
@@ -133,8 +150,8 @@ struct Node {
 /// ```
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, u32, u32), u32>,
-    ite_memo: HashMap<(u32, u32, u32), u32>,
+    unique: FxHashMap<(u32, u32, u32), u32>,
+    ite_memo: FxHashMap<(u32, u32, u32), u32>,
     /// Node-arena cap; allocations past it raise [`BddOverflow::Nodes`].
     max_nodes: Option<usize>,
     /// Operation-step cap (recursive `ite`/`exists`/`rename` invocations
@@ -182,8 +199,8 @@ impl Bdd {
                     hi: 1,
                 },
             ],
-            unique: HashMap::new(),
-            ite_memo: HashMap::new(),
+            unique: FxHashMap::default(),
+            ite_memo: FxHashMap::default(),
             max_nodes: None,
             max_steps: None,
             deadline: None,
@@ -539,7 +556,7 @@ impl Bdd {
     /// [`BddOverflow`].
     pub fn try_exists(&mut self, f: BddRef, vars: &[u32]) -> Result<BddRef, BddOverflow> {
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let last = match vars.last() {
             Some(&v) => v,
             None => return Ok(f),
@@ -552,7 +569,7 @@ impl Bdd {
         f: u32,
         vars: &[u32],
         last: u32,
-        memo: &mut HashMap<u32, u32>,
+        memo: &mut FxHashMap<u32, u32>,
     ) -> Result<u32, BddOverflow> {
         if f <= 1 {
             return Ok(f);
@@ -603,7 +620,7 @@ impl Bdd {
         f: BddRef,
         map: &impl Fn(u32) -> u32,
     ) -> Result<BddRef, BddOverflow> {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         Ok(BddRef(self.rename_raw(f.0, map, &mut memo)?))
     }
 
@@ -611,7 +628,7 @@ impl Bdd {
         &mut self,
         f: u32,
         map: &impl Fn(u32) -> u32,
-        memo: &mut HashMap<u32, u32>,
+        memo: &mut FxHashMap<u32, u32>,
     ) -> Result<u32, BddOverflow> {
         if f <= 1 {
             return Ok(f);
@@ -667,7 +684,7 @@ impl Bdd {
         if f == BddRef::FALSE {
             return None;
         }
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let mut path = Vec::new();
         let mut n = f.0;
         while n > 1 {
@@ -686,7 +703,7 @@ impl Bdd {
 
     /// Fewest variables constrained on any path from `f` to `TRUE`
     /// (`u32::MAX` for the unsatisfiable terminal).
-    fn min_care(&self, f: u32, memo: &mut HashMap<u32, u32>) -> u32 {
+    fn min_care(&self, f: u32, memo: &mut FxHashMap<u32, u32>) -> u32 {
         if f == 0 {
             return u32::MAX;
         }
@@ -713,7 +730,7 @@ impl Bdd {
     /// Debug-asserts that `f` only tests variables from `vars`.
     pub fn sat_count(&self, f: BddRef, vars: &[u32]) -> f64 {
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         // Level of a variable within `vars`; vars not in the universe are
         // rejected below.
         let level = |v: u32| vars.binary_search(&v);
@@ -727,7 +744,7 @@ impl Bdd {
         from_level: usize,
         total: usize,
         level: &impl Fn(u32) -> Result<usize, usize>,
-        memo: &mut HashMap<u32, f64>,
+        memo: &mut FxHashMap<u32, f64>,
     ) -> f64 {
         if f == 0 {
             return 0.0;
@@ -753,7 +770,7 @@ impl Bdd {
 
     /// Number of distinct nodes reachable from `f` (its DAG size).
     pub fn size(&self, f: BddRef) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![f.0];
         while let Some(n) = stack.pop() {
             if n <= 1 || !seen.insert(n) {

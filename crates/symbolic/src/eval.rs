@@ -13,12 +13,11 @@
 //! before flips, pin faults apply at a single cell's read, and register
 //! flips negate the stored-bit variable the faulty run starts from.
 
-use std::collections::HashMap;
-
 use scfi_faultsim::{Fault, FaultEffect, FaultSite};
 use scfi_netlist::{CellKind, Module, NetId};
 
 use crate::bdd::{Bdd, BddOverflow, BddRef};
+use crate::hash::FxHashMap;
 
 /// Assignment of BDD variables to the module's symbolic sources, ordered
 /// by the netlist's levelization.
@@ -141,7 +140,7 @@ impl VarMap {
     /// register and input vectors; variables absent from the assignment
     /// default to `false` (they are don't-cares of the witness function).
     pub fn decode_assignment(&self, assignment: &[(u32, bool)]) -> (Vec<bool>, Vec<bool>) {
-        let lookup: HashMap<u32, bool> = assignment.iter().copied().collect();
+        let lookup: FxHashMap<u32, bool> = assignment.iter().copied().collect();
         let regs = self
             .reg_current
             .iter()
@@ -195,8 +194,8 @@ impl Transform {
 /// Compiled fault set for one symbolic run.
 #[derive(Default)]
 struct FaultMasks {
-    nets: HashMap<u32, Transform>,
-    pins: HashMap<(u32, u8), Transform>,
+    nets: FxHashMap<u32, Transform>,
+    pins: FxHashMap<(u32, u8), Transform>,
     /// Register *positions* whose stored bit is flipped before the cycle.
     reg_flips: Vec<usize>,
 }
@@ -248,10 +247,10 @@ impl FaultMasks {
 /// negate the stored-bit source by the parity of their guards.
 #[derive(Default)]
 struct GuardedMasks {
-    nets: HashMap<u32, Vec<(FaultEffect, BddRef)>>,
-    pins: HashMap<(u32, u8), Vec<(FaultEffect, BddRef)>>,
+    nets: FxHashMap<u32, Vec<(FaultEffect, BddRef)>>,
+    pins: FxHashMap<(u32, u8), Vec<(FaultEffect, BddRef)>>,
     /// Flip-guard parity per register *position*.
-    reg_flips: HashMap<usize, Vec<BddRef>>,
+    reg_flips: FxHashMap<usize, Vec<BddRef>>,
 }
 
 impl GuardedMasks {

@@ -57,6 +57,7 @@
 mod bdd;
 mod certify;
 mod eval;
+mod hash;
 mod reach;
 mod unroll;
 

@@ -35,7 +35,6 @@
 //! [`JointVerdict::Unknown`] / [`KStepVerdict::Unknown`] — never to a
 //! fabricated proof.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use scfi_faultsim::Fault;
@@ -43,6 +42,7 @@ use scfi_netlist::Simulator;
 
 use crate::bdd::{Bdd, BddOverflow, BddRef};
 use crate::certify::{describe_fault, Certifier, CertifyModel};
+use crate::hash::FxHashMap;
 
 /// A concrete escaping assignment of the joint certification: the active
 /// fault subset plus the register/input assignment it escapes on.
@@ -426,7 +426,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
         let assignment = b
             .sat_one_minimal(escape)
             .expect("non-false BDD has a model");
-        let lookup: HashMap<u32, bool> = assignment.iter().copied().collect();
+        let lookup: FxHashMap<u32, bool> = assignment.iter().copied().collect();
         let regs: Vec<bool> = reg_vars
             .iter()
             .map(|v| lookup.get(v).copied().unwrap_or(false))
