@@ -97,7 +97,7 @@ impl std::fmt::Display for Backend {
 ///
 /// # Execution control
 ///
-/// Backends consult `control` through [`RunControl::admit`] once per wave
+/// Backends consult `control` through [`RunControl::admit_at`] once per wave
 /// (never per gate or per cycle) and wrap each wave in
 /// [`std::panic::catch_unwind`]. The determinism contract extends to
 /// interruption: a refused wave leaves its slots out of the

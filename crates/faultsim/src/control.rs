@@ -7,7 +7,7 @@
 //! carrying three optional limits — a cancellation flag, a wall-clock
 //! deadline and an injection budget — that every
 //! [`CampaignBackend`](crate::CampaignBackend) consults **once per wave**
-//! (never on the per-gate hot path) through [`RunControl::admit`]. A wave
+//! (never on the per-gate hot path) through [`RunControl::admit_at`]. A wave
 //! that is admitted runs to completion; a wave that is refused is simply
 //! never started, and the run returns a [`PartialReport`] over the waves
 //! that did complete.
@@ -125,9 +125,10 @@ struct ControlInner {
 /// use scfi_faultsim::RunControl;
 ///
 /// let control = RunControl::unlimited().with_injection_budget(128);
-/// assert!(control.admit(64).is_ok());
-/// assert!(control.admit(64).is_ok());
-/// assert!(control.admit(1).is_err()); // budget spent
+/// assert!(control.admit_at(0, 64).is_ok());
+/// assert!(control.admit_at(64, 64).is_ok());
+/// assert!(control.admit_at(128, 1).is_err()); // budget spent
+/// assert_eq!(control.admitted(), 128);
 /// ```
 #[derive(Clone)]
 pub struct RunControl {
@@ -180,7 +181,7 @@ impl RunControl {
         self
     }
 
-    /// Requests cancellation: every subsequent [`admit`](Self::admit)
+    /// Requests cancellation: every subsequent [`admit_at`](Self::admit_at)
     /// across all clones returns [`StopReason::Cancelled`]. Waves already
     /// running complete normally (cancellation is wave-granular).
     pub fn cancel(&self) {
@@ -192,41 +193,7 @@ impl RunControl {
         self.inner.cancel.load(Ordering::Relaxed)
     }
 
-    /// Asks permission to run a wave of `items` injections. Checked by
-    /// backends once per wave — wave-boundary only, never per gate or per
-    /// cycle. Returns the stop reason if the run should wind down instead.
-    ///
-    /// Budget accounting is a compare-and-swap loop, so concurrent
-    /// workers can never jointly over-admit the injection budget.
-    pub fn admit(&self, items: usize) -> Result<(), StopReason> {
-        self.check_time()?;
-        let items = items as u64;
-        if let Some(budget) = self.inner.injection_budget {
-            let mut current = self.inner.injected.load(Ordering::Relaxed);
-            loop {
-                if current.saturating_add(items) > budget {
-                    return Err(StopReason::InjectionBudgetExhausted);
-                }
-                match self.inner.injected.compare_exchange_weak(
-                    current,
-                    current + items,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => current = actual,
-                }
-            }
-        } else {
-            // No budget to guard, but keep the counter live: `admitted`
-            // is the progress observable of long-running campaigns (the
-            // job server reports it while a campaign is in flight).
-            self.inner.injected.fetch_add(items, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// The cancellation and deadline checks shared by both admissions.
+    /// The cancellation and deadline checks of every admission.
     fn check_time(&self) -> Result<(), StopReason> {
         if self.inner.cancel.load(Ordering::Relaxed) {
             return Err(StopReason::Cancelled);
@@ -237,15 +204,18 @@ impl RunControl {
         }
     }
 
-    /// [`admit`](Self::admit) for the wave at a fixed place in a run's
-    /// wave order: the wave covering injections `offset..offset + items`
-    /// of that order, where `offset` also counts what the control
-    /// [`admitted`](Self::admitted) before the run began. Under an
-    /// injection budget the answer depends on that place alone — the
-    /// budget admits exactly the waves that end within it, in whatever
-    /// order concurrent workers ask — so a budgeted run completes the
-    /// same waves at every thread count. Cancellation and the deadline
-    /// stay timing-based. Every backend admits its waves this way.
+    /// Asks permission to run the wave at a fixed place in a run's wave
+    /// order: the wave covering injections `offset..offset + items` of
+    /// that order, where `offset` also counts what the control
+    /// [`admitted`](Self::admitted) before the run began. Checked by
+    /// backends once per wave — wave-boundary only, never per gate or per
+    /// cycle. Returns the stop reason if the run should wind down instead.
+    ///
+    /// Under an injection budget the answer depends on the wave's place
+    /// alone — the budget admits exactly the waves that end within it, in
+    /// whatever order concurrent workers ask — so a budgeted run completes
+    /// the same waves at every thread count. Cancellation and the deadline
+    /// stay timing-based.
     pub fn admit_at(&self, offset: u64, items: usize) -> Result<(), StopReason> {
         self.check_time()?;
         let items = items as u64;
@@ -434,8 +404,8 @@ mod tests {
     #[test]
     fn unlimited_control_admits_everything() {
         let c = RunControl::unlimited();
-        for _ in 0..1000 {
-            assert_eq!(c.admit(usize::MAX / 2), Ok(()));
+        for i in 0..1000 {
+            assert_eq!(c.admit_at(i * (u64::MAX / 1000), usize::MAX / 2), Ok(()));
         }
         assert!(!c.is_cancelled());
     }
@@ -444,55 +414,65 @@ mod tests {
     fn cancel_propagates_to_clones() {
         let c = RunControl::unlimited();
         let worker = c.clone();
-        assert_eq!(worker.admit(64), Ok(()));
+        assert_eq!(worker.admit_at(0, 64), Ok(()));
         c.cancel();
         assert!(worker.is_cancelled());
-        assert_eq!(worker.admit(64), Err(StopReason::Cancelled));
-        assert_eq!(c.admit(0), Err(StopReason::Cancelled));
+        assert_eq!(worker.admit_at(64, 64), Err(StopReason::Cancelled));
+        assert_eq!(c.admit_at(64, 0), Err(StopReason::Cancelled));
     }
 
     #[test]
     fn zero_deadline_refuses_immediately() {
         let c = RunControl::unlimited().with_deadline(Duration::ZERO);
-        assert_eq!(c.admit(1), Err(StopReason::DeadlineExpired));
+        assert_eq!(c.admit_at(0, 1), Err(StopReason::DeadlineExpired));
     }
 
     #[test]
     fn generous_deadline_admits() {
         let c = RunControl::unlimited().with_deadline(Duration::from_secs(3600));
-        assert_eq!(c.admit(1), Ok(()));
+        assert_eq!(c.admit_at(0, 1), Ok(()));
     }
 
     #[test]
     fn budget_is_never_over_admitted() {
         let c = RunControl::unlimited().with_injection_budget(100);
-        assert_eq!(c.admit(64), Ok(()));
+        assert_eq!(c.admit_at(0, 64), Ok(()));
         assert_eq!(
-            c.admit(64),
+            c.admit_at(64, 64),
             Err(StopReason::InjectionBudgetExhausted),
             "64 + 64 > 100 must be refused"
         );
-        // A smaller wave still fits the remainder.
-        assert_eq!(c.admit(36), Ok(()));
-        assert_eq!(c.admit(1), Err(StopReason::InjectionBudgetExhausted));
+        // A smaller wave at the same place still fits the remainder.
+        assert_eq!(c.admit_at(64, 36), Ok(()));
+        assert_eq!(
+            c.admit_at(100, 1),
+            Err(StopReason::InjectionBudgetExhausted)
+        );
+        assert_eq!(c.admitted(), 100);
     }
 
     #[test]
     fn concurrent_budget_admission_is_exact() {
+        // Eight workers claim waves of 7 from one shared order, as the
+        // backends do: the budget admits exactly the waves that end
+        // within it, whichever worker asks first.
         let c = RunControl::unlimited().with_injection_budget(1000);
-        let admitted = std::sync::atomic::AtomicU64::new(0);
+        let next = AtomicU64::new(0);
+        let admitted = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    while c.admit(7).is_ok() {
+                    while c
+                        .admit_at(next.fetch_add(1, Ordering::Relaxed) * 7, 7)
+                        .is_ok()
+                    {
                         admitted.fetch_add(7, Ordering::Relaxed);
                     }
                 });
             }
         });
-        let total = admitted.into_inner();
-        assert!(total <= 1000, "over-admitted: {total}");
-        assert!(total > 1000 - 7 * 8, "under-admitted: {total}");
+        assert_eq!(admitted.into_inner(), 1000 / 7 * 7);
+        assert_eq!(c.admitted(), 1000 / 7 * 7);
     }
 
     #[test]

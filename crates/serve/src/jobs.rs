@@ -944,7 +944,7 @@ mod tests {
         ))
         .unwrap();
         let control = s.run_control();
-        assert!(control.admit(5).is_ok());
-        assert!(control.admit(1).is_err());
+        assert!(control.admit_at(0, 5).is_ok());
+        assert!(control.admit_at(5, 1).is_err());
     }
 }
