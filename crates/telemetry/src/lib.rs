@@ -101,8 +101,9 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Approximate `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
-    /// inside the containing power-of-two bucket. Returns `0` when
-    /// nothing was observed.
+    /// inside the containing power-of-two bucket, never past that
+    /// bucket's inclusive upper edge. Returns `0` when nothing was
+    /// observed.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -120,7 +121,10 @@ impl HistogramSnapshot {
                 let lower = 1u64 << (i - 1);
                 let position = (target - cumulative) as f64 / n as f64;
                 let width = lower as f64;
-                return lower + (width * position) as u64;
+                // The bucket's last observation interpolates to `2^i`,
+                // one past its inclusive upper edge.
+                let upper = u64::try_from(bucket_upper(i)).unwrap_or(u64::MAX);
+                return lower.saturating_add((width * position) as u64).min(upper);
             }
             cumulative += n;
         }
@@ -611,6 +615,26 @@ mod tests {
         // Zero is its own bucket.
         h.observe(0);
         assert_eq!(h.snapshot().quantile(0.01), 0);
+    }
+
+    #[test]
+    fn quantiles_stay_inside_their_bucket() {
+        let t = Telemetry::recording();
+        let h = t.histogram("scfi_fives");
+        for _ in 0..4 {
+            h.observe(5);
+        }
+        // Every observation sits in bucket [4, 7]; p100 used to read 8.
+        let snap = h.snapshot();
+        assert_eq!(snap.quantile(1.0), 7);
+        assert_eq!(snap.quantile(0.25), 5);
+        for q in [0.0, 0.1, 0.5, 0.75, 0.9, 1.0] {
+            assert!((4..=7).contains(&snap.quantile(q)), "q = {q}");
+        }
+        // The top bucket's edge is u64::MAX: no overflow past it.
+        let top = t.histogram("scfi_top");
+        top.observe(u64::MAX);
+        assert_eq!(top.snapshot().quantile(1.0), u64::MAX);
     }
 
     #[test]
