@@ -21,12 +21,12 @@
 //! wrapped in [`std::panic::catch_unwind`] — a poisoned job fails alone,
 //! the server keeps serving.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,10 @@ pub struct ServerOptions {
     /// How long a finished job (done, failed or cancelled) stays
     /// retrievable before the registry retires it. Expired jobs are swept
     /// on submission, so the registry stays bounded under sustained load
-    /// instead of growing forever.
+    /// instead of growing forever. A finished job is retired earlier
+    /// once newer results hold more than 32 MiB between them (oldest
+    /// first), so the memory finished jobs hold does not grow with the
+    /// server's throughput.
     pub job_ttl: Duration,
 }
 
@@ -101,8 +104,6 @@ struct JobInner {
     cache_hit: Option<bool>,
     /// Canonical-DSL digest of the prepared model.
     digest: Option<u64>,
-    /// When the job reached a terminal state (feeds TTL retirement).
-    finished_at: Option<Instant>,
 }
 
 struct Job {
@@ -127,7 +128,6 @@ impl Job {
                 cancel_requested: false,
                 cache_hit: None,
                 digest: None,
-                finished_at: None,
             }),
         }
     }
@@ -234,8 +234,47 @@ impl ShardedQueue {
     }
 }
 
+/// The most result bytes finished jobs keep between them. Under the TTL
+/// alone the registry holds every result of the last 15 minutes, about
+/// 20 KB per analyze job, so its memory grew with throughput; past this
+/// bound the oldest finished jobs retire early. 32 MiB holds about 1 900
+/// Table-1 analyze results.
+const RETAINED_RESULT_BYTES: usize = 32 << 20;
+
+/// Finished jobs in the order they finished, with their result sizes:
+/// the retirement queue.
+#[derive(Default)]
+struct Retention {
+    order: VecDeque<(Instant, u64, usize)>,
+    bytes: usize,
+}
+
+impl Retention {
+    fn push(&mut self, id: u64, bytes: usize) {
+        self.order.push_back((Instant::now(), id, bytes));
+        self.bytes += bytes;
+    }
+
+    /// Dequeues, oldest first, every job finished more than `ttl` ago and
+    /// then as many more as it takes to hold at most `max_bytes`, and
+    /// returns their ids.
+    fn expire(&mut self, ttl: Duration, max_bytes: usize) -> Vec<u64> {
+        let mut retired = Vec::new();
+        while let Some(&(at, id, bytes)) = self.order.front() {
+            if at.elapsed() <= ttl && self.bytes <= max_bytes {
+                break;
+            }
+            self.order.pop_front();
+            self.bytes -= bytes;
+            retired.push(id);
+        }
+        retired
+    }
+}
+
 struct Registry {
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    retention: Mutex<Retention>,
     next_id: AtomicU64,
     queue: ShardedQueue,
     cache: CompileCache,
@@ -264,32 +303,50 @@ impl Registry {
         counts
     }
 
-    /// Retires finished jobs older than the configured TTL. Called on
-    /// every submission, so the registry size is bounded by the arrival
-    /// rate times the TTL rather than by the server's lifetime.
+    /// Marks `job` finished: trims its result and queues it for
+    /// retirement. The job's lock is released first, so no thread ever
+    /// holds a job lock and the retention lock at once.
+    fn finish(&self, job: &Job, mut inner: MutexGuard<'_, JobInner>) {
+        // A finished result stays in the registry until it retires:
+        // keep its bytes, not the slack its rendering grew into.
+        let bytes = match &mut inner.result {
+            Some((body, _)) => {
+                body.shrink_to_fit();
+                body.len()
+            }
+            None => 0,
+        };
+        drop(inner);
+        self.retention
+            .lock()
+            .expect("retention queue")
+            .push(job.id, bytes);
+    }
+
+    /// Retires finished jobs older than the configured TTL, then the
+    /// oldest past the [`RETAINED_RESULT_BYTES`] bound. Called on every
+    /// submission, so the registry's size is bounded by the arrival rate
+    /// times the TTL and its result bytes by a constant, rather than by
+    /// the server's lifetime.
     fn sweep_expired(&self) {
-        let ttl = self.options.job_ttl;
-        let mut evicted = 0u64;
+        let retired = self
+            .retention
+            .lock()
+            .expect("retention queue")
+            .expire(self.options.job_ttl, RETAINED_RESULT_BYTES);
         {
             let mut jobs = self.jobs.lock().expect("job registry");
-            jobs.retain(|_, job| {
-                let keep = match job.inner.lock().expect("job").finished_at {
-                    Some(at) => at.elapsed() <= ttl,
-                    None => true,
-                };
-                if !keep {
-                    evicted += 1;
-                }
-                keep
-            });
+            for id in &retired {
+                jobs.remove(id);
+            }
             self.telemetry
                 .gauge("scfi_serve_registry_jobs")
                 .set(jobs.len() as u64);
         }
-        if evicted > 0 {
+        if !retired.is_empty() {
             self.telemetry
                 .counter("scfi_serve_jobs_evicted_total")
-                .add(evicted);
+                .add(retired.len() as u64);
         }
     }
 }
@@ -311,6 +368,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let registry = Arc::new(Registry {
             jobs: Mutex::new(HashMap::new()),
+            retention: Mutex::new(Retention::default()),
             next_id: AtomicU64::new(1),
             queue: ShardedQueue::new(options.workers, options.queue_capacity),
             cache: CompileCache::new(options.cache_capacity),
@@ -430,7 +488,7 @@ fn run_one(registry: &Registry, job: &Job) {
         if inner.cancel_requested {
             inner.state = JobState::Cancelled;
             inner.error = Some("cancelled while queued".to_string());
-            inner.finished_at = Some(Instant::now());
+            registry.finish(job, inner);
             return;
         }
         inner.state = JobState::Running;
@@ -449,7 +507,7 @@ fn run_one(registry: &Registry, job: &Job) {
             let mut inner = job.inner.lock().expect("job");
             inner.state = JobState::Failed;
             inner.error = Some(message);
-            inner.finished_at = Some(Instant::now());
+            registry.finish(job, inner);
             return;
         }
     };
@@ -503,12 +561,7 @@ fn run_one(registry: &Registry, job: &Job) {
             inner.error = Some(message);
         }
     }
-    // A finished result stays in the registry until the TTL retires it:
-    // keep its bytes, not the slack its rendering grew into.
-    if let Some((body, _)) = &mut inner.result {
-        body.shrink_to_fit();
-    }
-    inner.finished_at = Some(Instant::now());
+    registry.finish(job, inner);
 }
 
 /// Runs one stage of a job with panic isolation: a panic becomes the
@@ -937,6 +990,24 @@ fn cancel(job: &Job) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retention_retires_by_age_then_by_bytes_oldest_first() {
+        let hour = Duration::from_secs(3600);
+        let mut r = Retention::default();
+        for id in 1..=4 {
+            r.push(id, 10);
+        }
+        assert_eq!(r.expire(hour, 40), Vec::<u64>::new());
+        assert_eq!(r.expire(hour, 25), [1, 2]);
+        assert_eq!(r.bytes, 20);
+        r.push(5, 0);
+        std::thread::sleep(Duration::from_millis(200));
+        r.push(6, 10);
+        // Age first: everything finished before the pause has expired.
+        assert_eq!(r.expire(Duration::from_millis(100), 30), [3, 4, 5]);
+        assert_eq!((r.order.len(), r.bytes), (1, 10));
+    }
 
     #[test]
     fn sharded_queue_bounds_and_steals() {
