@@ -23,17 +23,16 @@
 //! Nodes are arena-allocated and never freed. That keeps node ids stable
 //! for the manager's whole life, but certification no longer stays small:
 //! the node high-water reaches 476 k nodes on adc_ctrl_fsm `--joint` at
-//! N = 3, 676 k on i2c_fsm `--all-gates` at N = 3 and 1.99 M on a
-//! generated 50-state FSM, most of it built by one site and dead after
-//! its verdict.
+//! N = 3, 676 k on i2c_fsm `--all-gates` at N = 3 and 2.02 M on a
+//! generated 50-state FSM (`--all-gates`, N = 3).
 //!
 //! # Tables
 //!
 //! The unique table, the `ite` memo and the per-call memos are std
 //! `HashMap`s keyed through the fixed multiplicative hash of
 //! `crate::hash` rather than the default SipHash: their keys are node ids
-//! the manager assigns itself, and a fixed hash is several times cheaper
-//! per probe. The `ite` memo is *exact* — it keeps every entry and never
+//! the manager assigns itself, and dropping SipHash halved certification
+//! wall time. The `ite` memo is *exact* — it keeps every entry and never
 //! evicts — so the number of operation steps an operation takes, the unit
 //! of the step budget, depends only on the sequence of operations issued.
 //! Step counts, `ite` hit/miss counts, node ids and the point at which a

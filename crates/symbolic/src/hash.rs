@@ -3,11 +3,11 @@
 //! The BDD manager probes its unique table and `ite` memo once per
 //! Shannon step, and the per-call memos of `exists`, `rename`,
 //! `sat_one_minimal` and `sat_count` once per visited node; with std's
-//! default SipHash those probes were most of certification's time. The
-//! keys are small tuples of engine-assigned `u32` node ids and variable
-//! indices, so an Fx-style multiplicative hash (one rotate, xor and
-//! multiply per word, as in rustc's `FxHasher`) spreads them well enough
-//! for std's `HashMap`, at a fraction of SipHash's cost.
+//! default SipHash those probes took about half of certification's
+//! time. The keys are small tuples of engine-assigned `u32` node ids and
+//! variable indices, so an Fx-style multiplicative hash (one rotate, xor
+//! and multiply per word, as in rustc's `FxHasher`) spreads them well
+//! enough for std's `HashMap`, at a fraction of SipHash's cost.
 //!
 //! The hash is fixed, not randomly seeded. SipHash's random keys defend
 //! a table against keys an adversary chooses to collide; these keys are
